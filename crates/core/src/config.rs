@@ -1,9 +1,7 @@
 //! Configuration of the thermal data flow analysis.
 
 use crate::error::TadfaError;
-use serde::{Deserialize, Serialize};
 use tadfa_thermal::constants;
-use tadfa_thermal::SolverMode;
 
 /// How predecessor exit states merge at a block entry.
 ///
@@ -19,7 +17,7 @@ use tadfa_thermal::SolverMode;
 ///   whose paths oscillate between hot and cold usage can keep the
 ///   fixpoint iteration oscillating forever. This reproduces the paper's
 ///   non-convergence caveat and is exercised by experiment E3.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum MergeRule {
     /// Element-wise maximum (converges).
     Max,
@@ -28,7 +26,7 @@ pub enum MergeRule {
 }
 
 /// Parameters of the thermal DFA (Fig. 2 of the paper).
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct ThermalDfaConfig {
     /// The convergence parameter δ, Kelvin: iteration stops when no
     /// instruction's thermal state changes by more than this (L∞).
@@ -48,13 +46,6 @@ pub struct ThermalDfaConfig {
     pub time_scale: f64,
     /// Whether to add temperature-dependent leakage to each step's power.
     pub leakage_feedback: bool,
-    /// Floating-point contract of the compiled solver kernels.
-    ///
-    /// [`SolverMode::Exact`] (the default) keeps every result bit-identical
-    /// to the naive reference solvers; [`SolverMode::Fast`] permits bounded
-    /// reassociation (see `docs/DETERMINISM.md`). Golden-report gates refuse
-    /// `Fast` results unless explicitly overridden.
-    pub solver_mode: SolverMode,
 }
 
 impl Default for ThermalDfaConfig {
@@ -66,7 +57,6 @@ impl Default for ThermalDfaConfig {
             seconds_per_cycle: constants::DEFAULT_SECONDS_PER_CYCLE,
             time_scale: constants::DEFAULT_TIME_SCALE,
             leakage_feedback: true,
-            solver_mode: SolverMode::Exact,
         }
     }
 }
@@ -128,12 +118,6 @@ impl ThermalDfaConfig {
         self
     }
 
-    /// Builder-style: sets the solver floating-point contract.
-    pub fn with_solver_mode(mut self, mode: SolverMode) -> ThermalDfaConfig {
-        self.solver_mode = mode;
-        self
-    }
-
     /// Seconds of modelled time one execution of an instruction with the
     /// given latency represents.
     pub fn step_duration(&self, latency: u32) -> f64 {
@@ -142,7 +126,7 @@ impl ThermalDfaConfig {
 }
 
 /// Outcome of the fixpoint iteration.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub enum Convergence {
     /// All per-instruction changes fell below δ.
     Converged {
@@ -186,7 +170,6 @@ mod tests {
         assert!(c.delta > 0.0);
         assert_eq!(c.merge, MergeRule::Max);
         assert!(c.leakage_feedback);
-        assert_eq!(c.solver_mode, SolverMode::Exact);
     }
 
     #[test]
@@ -194,12 +177,10 @@ mod tests {
         let c = ThermalDfaConfig::default()
             .with_delta(0.5)
             .with_merge(MergeRule::Average)
-            .with_max_iterations(7)
-            .with_solver_mode(SolverMode::Fast);
+            .with_max_iterations(7);
         assert_eq!(c.delta, 0.5);
         assert_eq!(c.merge, MergeRule::Average);
         assert_eq!(c.max_iterations, 7);
-        assert_eq!(c.solver_mode, SolverMode::Fast);
     }
 
     #[test]

@@ -9,13 +9,12 @@
 
 use crate::dfa::ThermalDfaResult;
 use crate::grid::AnalysisGrid;
-use serde::{Deserialize, Serialize};
 use tadfa_ir::{Function, VReg};
 use tadfa_regalloc::Assignment;
 use tadfa_thermal::PowerModel;
 
 /// Configuration for criticality scoring.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct CriticalConfig {
     /// A variable is critical if it has an access whose cell temperature
     /// exceeds `ambient + temp_fraction × (peak − ambient)`.
@@ -29,7 +28,7 @@ impl Default for CriticalConfig {
 }
 
 /// The ranked set of thermally critical variables.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct CriticalSet {
     /// `(variable, heat-exposure score)`, hottest first. The score is the
     /// sum over the variable's accesses of

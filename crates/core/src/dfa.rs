@@ -32,7 +32,7 @@ use std::sync::Arc;
 use tadfa_ir::{BlockId, Cfg, Function, Inst, InstId, Opcode, Terminator, VReg};
 use tadfa_regalloc::Assignment;
 use tadfa_thermal::{
-    CompiledModel, LeakageParams, PowerModel, SolverMode, StepSchedule, StepScratch, ThermalState,
+    CompiledModel, LeakageParams, PowerModel, StepSchedule, StepScratch, ThermalState,
 };
 
 /// Reusable buffers for one worker's fixpoint runs.
@@ -404,14 +404,7 @@ impl<'a> ThermalDfa<'a> {
     ) {
         let deposits = &plan.deposits[span.start as usize..span.end as usize];
         let leak = self.config.leakage_feedback.then_some(&plan.leak);
-        compiled.step_sparse_mode_into(
-            state,
-            deposits,
-            &span.sched,
-            leak,
-            self.config.solver_mode,
-            step,
-        );
+        compiled.step_sparse_into(state, deposits, &span.sched, leak, step, None);
     }
 
     /// [`advance_planned`](Self::advance_planned) with the change
@@ -433,15 +426,7 @@ impl<'a> ThermalDfa<'a> {
     ) -> f64 {
         let deposits = &plan.deposits[span.start as usize..span.end as usize];
         let leak = self.config.leakage_feedback.then_some(&plan.leak);
-        compiled.step_sparse_tracked_into(
-            state,
-            deposits,
-            &span.sched,
-            leak,
-            self.config.solver_mode,
-            step,
-            prev,
-        )
+        compiled.step_sparse_into(state, deposits, &span.sched, leak, step, Some(prev))
     }
 
     /// The pre-optimization transfer function, retained verbatim —
@@ -510,10 +495,6 @@ impl<'a> ThermalDfa<'a> {
         h.write_f64(self.config.seconds_per_cycle, quantum);
         h.write_f64(self.config.time_scale, quantum);
         h.write_u64(self.config.leakage_feedback as u64);
-        h.write_u64(match self.config.solver_mode {
-            SolverMode::Exact => 0,
-            SolverMode::Fast => 1,
-        });
         // Leakage model (read/write energies are folded in per access).
         h.write_f64(self.power_model.leakage_per_cell, quantum);
         h.write_f64(self.power_model.leakage_temp_coeff, quantum);
@@ -833,7 +814,7 @@ impl<'a> ThermalDfa<'a> {
                 // runs outside the tracked kernel.
                 if let Some(sum) = self.call_summary(id) {
                     self.advance_planned(walker, plan, plan.inst[id.index()], step, compiled);
-                    sum.apply(walker, compiled, self.config.solver_mode, step);
+                    sum.apply(walker, compiled, step);
                     max_change = max_change.max(after.update(id.index(), walker));
                     continue;
                 }
@@ -972,7 +953,7 @@ impl<'a> ThermalDfa<'a> {
                 self.fill_access_energies(inst, accesses);
                 self.advance_reference(&mut s, accesses, inst.op.latency(), power);
                 if let Some(sum) = self.call_summary(id) {
-                    sum.apply(&mut s, self.grid.compiled(), self.config.solver_mode, step);
+                    sum.apply(&mut s, self.grid.compiled(), step);
                 }
                 let change = match &state.after[id.index()] {
                     Some(prev) => prev.linf_distance(&s),

@@ -72,4 +72,3 @@ pub use grid::AnalysisGrid;
 pub use predictive::{PlacementPrior, PredictiveConfig, PredictiveDfa, PredictiveResult};
 pub use session::{ModuleReport, Session, SessionBuilder, SessionCore, ThermalReport};
 pub use summary::ThermalSummary;
-pub use tadfa_thermal::SolverMode;

@@ -18,7 +18,6 @@
 //!   simulation feedback.
 
 use crate::error::TadfaError;
-use serde::{Deserialize, Serialize};
 use tadfa_dataflow::DefUse;
 use tadfa_ir::{Cfg, DomTree, Function, LoopInfo, PReg, VReg};
 use tadfa_regalloc::{
@@ -30,7 +29,7 @@ use tadfa_thermal::{
 };
 
 /// The assumed future assignment behaviour.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum PlacementPrior {
     /// Every variable's accesses smear uniformly over the whole file —
     /// the weakest, assumption-free prior.
@@ -45,7 +44,7 @@ pub enum PlacementPrior {
 }
 
 /// Configuration of the predictive analysis.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct PredictiveConfig {
     /// Placement prior.
     pub prior: PlacementPrior,

@@ -21,9 +21,7 @@
 //! trace is flattened once, no matter how many functions call it.
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
-use tadfa_thermal::{
-    CompiledModel, LeakageParams, SolverMode, StepSchedule, StepScratch, ThermalState,
-};
+use tadfa_thermal::{CompiledModel, LeakageParams, StepSchedule, StepScratch, ThermalState};
 
 /// One RC step of a summary trace: a slice of the summary's deposit
 /// table plus the precomputed sub-step schedule for its duration.
@@ -97,13 +95,12 @@ impl ThermalSummary {
         &self,
         state: &mut ThermalState,
         compiled: &CompiledModel,
-        mode: SolverMode,
         step: &mut StepScratch,
     ) {
         let leak = self.leakage_feedback.then_some(&self.leak);
         for s in &self.steps {
             let deposits = &self.deposits[s.start as usize..s.end as usize];
-            compiled.step_sparse_mode_into(state, deposits, &s.sched, leak, mode, step);
+            compiled.step_sparse_into(state, deposits, &s.sched, leak, step, None);
         }
     }
 

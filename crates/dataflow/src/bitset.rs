@@ -2,7 +2,6 @@
 //! bit-vector analyses (liveness, reaching definitions, available
 //! expressions).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fixed-capacity set of small integers backed by `u64` words.
@@ -22,7 +21,7 @@ use std::fmt;
 /// assert_eq!(s.count(), 2);
 /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 64]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct DenseBitSet {
     words: Vec<u64>,
     capacity: usize,

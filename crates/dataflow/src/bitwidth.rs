@@ -7,12 +7,11 @@
 //! widening, from which the number of significant bits per variable falls
 //! out.
 
-use serde::{Deserialize, Serialize};
 use tadfa_ir::{BlockId, Cfg, Function, Opcode, VReg};
 
 /// A signed 64-bit value interval `[lo, hi]`, with `Interval::BOTTOM`
 /// denoting "no value yet" (unreached code).
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct Interval {
     /// Inclusive lower bound.
     pub lo: i64,

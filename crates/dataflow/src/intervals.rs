@@ -2,12 +2,11 @@
 //! register allocation.
 
 use crate::liveness::Liveness;
-use serde::{Deserialize, Serialize};
 use tadfa_ir::{BlockId, Cfg, Function, InstId, VReg};
 
 /// Half-open live range `[start, end)` of one virtual register over the
 /// linearised program-point numbering.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct LiveInterval {
     /// The register this interval belongs to.
     pub vreg: VReg,

@@ -2,7 +2,6 @@
 
 use crate::entities::BlockId;
 use crate::function::Function;
-use serde::{Deserialize, Serialize};
 
 /// Predecessor/successor lists plus traversal orders for a function.
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.preds(join).len(), 2);
 /// assert_eq!(cfg.succs(f.entry()).len(), 2);
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Cfg {
     preds: Vec<Vec<BlockId>>,
     succs: Vec<Vec<BlockId>>,

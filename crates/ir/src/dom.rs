@@ -3,7 +3,6 @@
 use crate::cfg::Cfg;
 use crate::entities::BlockId;
 use crate::function::Function;
-use serde::{Deserialize, Serialize};
 
 /// Immediate-dominator table over the reachable blocks of a function.
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(dom.dominates(f.entry(), j));
 /// assert!(!dom.dominates(t, j));
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DomTree {
     /// Immediate dominator per block (`None` for entry and unreachable).
     idom: Vec<Option<BlockId>>,

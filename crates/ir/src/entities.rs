@@ -5,7 +5,6 @@
 //! onto entity handles. All newtypes implement the common ordering/hashing
 //! traits so they can key maps and be stored in sorted containers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A virtual register: the unbounded value namespace used before register
@@ -23,7 +22,7 @@ use std::fmt;
 /// assert_eq!(v.index(), 3);
 /// assert_eq!(v.to_string(), "%3");
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct VReg(u32);
 
 impl VReg {
@@ -62,7 +61,7 @@ impl fmt::Display for VReg {
 /// use tadfa_ir::PReg;
 /// assert_eq!(PReg::new(7).to_string(), "r7");
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PReg(u16);
 
 impl PReg {
@@ -96,7 +95,7 @@ impl fmt::Display for PReg {
 /// use tadfa_ir::BlockId;
 /// assert_eq!(BlockId::new(2).to_string(), "block2");
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct BlockId(u32);
 
 impl BlockId {
@@ -122,7 +121,7 @@ impl fmt::Display for BlockId {
 /// Instruction ids are stable across block-list edits (inserting or removing
 /// an instruction from a block never invalidates other ids), which lets
 /// analyses keyed by `InstId` survive rewriting passes.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct InstId(u32);
 
 impl InstId {
@@ -148,7 +147,7 @@ impl fmt::Display for InstId {
 /// Slots are disjoint by construction — two distinct slots never alias —
 /// which makes register promotion (`tadfa-opt`) decidable without a pointer
 /// analysis. Spill code also targets slots.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct MemSlot(u32);
 
 impl MemSlot {

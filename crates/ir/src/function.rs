@@ -2,13 +2,12 @@
 
 use crate::entities::{BlockId, InstId, MemSlot, VReg};
 use crate::inst::{Inst, Terminator};
-use serde::{Deserialize, Serialize};
 
 /// A basic block: an ordered list of instruction handles plus a terminator.
 ///
 /// The terminator is optional only while the block is under construction;
 /// the [`crate::Verifier`] rejects functions containing unterminated blocks.
-#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct Block {
     insts: Vec<InstId>,
     term: Option<Terminator>,
@@ -27,7 +26,7 @@ impl Block {
 }
 
 /// Metadata for a symbolic memory slot.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SlotInfo {
     /// Human-readable slot name (unique within the function).
     pub name: String,
@@ -62,7 +61,7 @@ pub struct SlotInfo {
 /// f.set_terminator(entry, Terminator::Ret(Some(sum)));
 /// assert_eq!(f.num_insts(), 1);
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Function {
     name: String,
     params: Vec<VReg>,

@@ -5,14 +5,13 @@
 //! Control flow lives exclusively in per-block [`Terminator`]s.
 
 use crate::entities::{BlockId, MemSlot, VReg};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Operation performed by an [`Inst`].
 ///
 /// Opcodes are a flat enum (payloads such as immediates or slots live on
 /// [`Inst`]) so that passes can match on the operation cheaply.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Opcode {
     /// `dst = imm` — load a 64-bit constant.
     Const,
@@ -278,7 +277,7 @@ impl fmt::Display for Opcode {
 /// assert_eq!(add.def(), Some(VReg::new(2)));
 /// assert_eq!(add.uses(), &[VReg::new(0), VReg::new(1)]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Inst {
     /// The operation.
     pub op: Opcode,
@@ -467,7 +466,7 @@ impl Inst {
 }
 
 /// Block-terminating control transfer.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Terminator {
     /// Unconditional jump.
     Jump(BlockId),

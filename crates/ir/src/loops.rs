@@ -8,12 +8,11 @@ use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::entities::BlockId;
 use crate::function::Function;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A single natural loop: all blocks that can reach a back edge's source
 /// without passing through the header.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct NaturalLoop {
     /// The loop header (target of the back edges).
     pub header: BlockId,
@@ -65,7 +64,7 @@ impl NaturalLoop {
 /// assert_eq!(li.depth(body), 1);
 /// assert_eq!(li.depth(exit), 0);
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct LoopInfo {
     loops: Vec<NaturalLoop>,
     depth: Vec<u32>,

@@ -19,13 +19,12 @@ use crate::promote::promote_scalar_slots;
 use crate::schedule::spread_schedule;
 use crate::spill_critical::spill_critical_variables;
 use crate::split::split_hot_ranges;
-use serde::{Deserialize, Serialize};
 use tadfa_core::{Session, TadfaError, ThermalDfa, ThermalReport};
 use tadfa_ir::{Cfg, DomTree, Function, LoopInfo};
 use tadfa_thermal::MapStats;
 
 /// The §4 optimizations, applied in the order given.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum OptKind {
     /// Spill the hottest critical variables to memory.
     SpillCritical,
@@ -72,7 +71,7 @@ impl Default for PipelineConfig {
 }
 
 /// Thermal and performance summary of one program version.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct ThermalSummary {
     /// Statistics of the DFA's peak map.
     pub map: MapStats,

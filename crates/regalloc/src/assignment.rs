@@ -1,6 +1,5 @@
 //! The result of register allocation: a virtual→physical register map.
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use tadfa_ir::{PReg, VReg};
@@ -10,7 +9,7 @@ use tadfa_ir::{PReg, VReg};
 /// After allocation (including spill rewriting) every virtual register
 /// that is still referenced by the function maps to exactly one physical
 /// register for its whole lifetime.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Assignment {
     map: Vec<Option<PReg>>,
     num_regs: usize,
@@ -127,7 +126,7 @@ impl fmt::Display for RegAllocError {
 impl Error for RegAllocError {}
 
 /// Statistics of one allocation run.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct AllocStats {
     /// Virtual registers spilled to memory.
     pub spilled: usize,

@@ -488,6 +488,14 @@ pub(crate) struct SimOutput {
 /// spinning.
 const EVENT_BUDGET: usize = 1_000_000;
 
+/// Hard ceiling on explicit-Euler sub-steps across one die simulation:
+/// a valid spec whose windows span ages of simulated time (e.g. a huge
+/// arrival period) fails cleanly instead of overflowing the solver's
+/// sub-step count or running for hours. The largest committed scenario
+/// (`covert_pinned_*`) takes about 273k sub-steps, so the budget leaves
+/// over 300× headroom.
+const SUBSTEP_BUDGET: f64 = 100_000_000.0;
+
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum RunState {
     Waiting,
@@ -648,6 +656,7 @@ pub(crate) fn simulate(input: &SimInput<'_>) -> Result<SimOutput, TadfaError> {
     let mut remaining = tsim.len();
     let mut now = 0.0f64;
     let mut events = 0usize;
+    let mut substeps = 0.0f64;
 
     start_ready(now, &mut csim, &mut tsim, input.tasks, die, input.dtm);
 
@@ -695,6 +704,15 @@ pub(crate) fn simulate(input: &SimInput<'_>) -> Result<SimOutput, TadfaError> {
         // One solver window under the running tasks' power, accumulated
         // in task-index order (the open-loop runner's order).
         if next > now {
+            substeps += ((next - now) / input.solver.max_stable_dt()).ceil();
+            if substeps > SUBSTEP_BUDGET {
+                return Err(TadfaError::InvalidConfig {
+                    param: "die sub-steps",
+                    value: substeps,
+                    reason: "die simulation exceeded its sub-step budget; \
+                             shorten the arrivals, the tasks or the covert window",
+                });
+            }
             power.iter_mut().for_each(|p| *p = 0.0);
             for (i, ts) in tsim.iter().enumerate() {
                 if ts.state == RunState::Running && !ts.paused {

@@ -31,9 +31,7 @@ use crate::policy::{mapping_policy_by_name, MappingContext};
 use crate::task::{task_metrics, Task, TaskMetrics};
 use std::sync::Arc;
 use tadfa_core::engine::Engine;
-use tadfa_core::{
-    CacheStats, Session, SessionCore, SolverMode, TadfaError, ThermalDfaConfig, ThermalReport,
-};
+use tadfa_core::{CacheStats, Session, SessionCore, TadfaError, ThermalDfaConfig, ThermalReport};
 use tadfa_ir::{Function, Module};
 use tadfa_thermal::hashing::Fnv128;
 use tadfa_thermal::{CompiledModel, SteadyStateOptions, ThermalState};
@@ -99,24 +97,6 @@ impl ScenarioConfig {
             covert: None,
         }
     }
-}
-
-/// The golden-gate guard: committed golden fingerprints are **exact**
-/// solver contracts, so the `tadfa check` subcommand (and the in-tree
-/// scenario gate) refuse a spec that requests the
-/// reassociation-permitting [`SolverMode::Fast`] unless the caller
-/// explicitly opted in (`--allow-fast`). Fast-mode runs are
-/// deterministic on one build, but their fingerprints are not
-/// comparable to exact-mode goldens — see `docs/DETERMINISM.md`.
-pub fn golden_gate_guard(cfg: &ScenarioConfig, allow_fast: bool) -> Result<(), String> {
-    if cfg.dfa.solver_mode == SolverMode::Fast && !allow_fast {
-        return Err(format!(
-            "scenario '{}' requests solver = \"fast\": golden fingerprints are exact-mode \
-             contracts; pass --allow-fast to gate a fast-mode golden deliberately",
-            cfg.name
-        ));
-    }
-    Ok(())
 }
 
 /// One task's scheduling outcome.
@@ -487,11 +467,10 @@ impl PreparedScenario {
         // Steady state of the time-averaged power.
         let n = cfg.die.num_cells();
         let mut steady = ThermalState::uniform(n, ambient);
-        let stats = self.solver.steady_state_mode_into(
+        let stats = self.solver.steady_state_into(
             &sim.avg_power,
             &mut steady,
             &SteadyStateOptions::default(),
-            cfg.dfa.solver_mode,
         );
 
         let covert = cfg.covert.as_ref().map(|c| decode(c, &sim.samples));
@@ -769,6 +748,18 @@ mod tests {
             run_scenario(&cfg),
             Err(TadfaError::InvalidConfig {
                 param: "arrival",
+                ..
+            })
+        ));
+        // A valid spec whose arrivals span ages of simulated time: its
+        // die windows would need more sub-steps than a u32 holds.
+        let text = include_str!("../../../scenarios/solo_baseline.toml")
+            .replace("arrival_period = 0.001", "arrival_period = 1000000000.0");
+        let cfg = crate::spec::parse_spec_toml(&text, "hostile").expect("the spec is valid");
+        assert!(matches!(
+            run_scenario(&cfg),
+            Err(TadfaError::InvalidConfig {
+                param: "die sub-steps",
                 ..
             })
         ));

@@ -113,7 +113,7 @@ use crate::task::{generated_tasks, suite_tasks, Task};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use tadfa_core::{MergeRule, SolverMode, ThermalDfaConfig};
+use tadfa_core::{MergeRule, ThermalDfaConfig};
 use tadfa_thermal::RcParams;
 use tadfa_workloads::{bursty_arrivals, diurnal_arrivals};
 
@@ -154,10 +154,7 @@ pub const SPEC_FIELDS: &[(&str, &[&str])] = &[
     ),
     ("schedule", &["mapping", "workers"]),
     ("assignment", &["policy", "seed"]),
-    (
-        "dfa",
-        &["delta", "max_iterations", "merge", "leakage", "solver"],
-    ),
+    ("dfa", &["delta", "max_iterations", "merge", "leakage"]),
     ("dtm", &["policy", "epoch", "cap", "hysteresis", "levels"]),
     (
         "covert",
@@ -917,18 +914,11 @@ fn build_config(
             )))
         }
     };
-    let solver_raw = dfa_sec.str("solver", SolverMode::default().as_str())?;
-    let solver_mode = SolverMode::parse(&solver_raw).ok_or_else(|| {
-        SpecError::new(format!(
-            "[dfa] unknown solver mode '{solver_raw}' (exact | fast)"
-        ))
-    })?;
     let dfa = ThermalDfaConfig {
         delta: dfa_sec.num("delta", defaults.delta)?,
         max_iterations: dfa_sec.usize("max_iterations", defaults.max_iterations)?,
         merge,
         leakage_feedback: dfa_sec.bool("leakage", defaults.leakage_feedback)?,
-        solver_mode,
         ..defaults
     };
 
@@ -1036,6 +1026,10 @@ mod tests {
         assert!(parse_to_config("[tasks]\nsource = \"suite\"\ncount = 1.5\n").is_err());
         assert!(
             parse_to_config("[dfa]\nmerge = \"median\"\n[tasks]\nsource = \"suite\"\n").is_err()
+        );
+        assert!(
+            parse_to_config("[dfa]\nsolver = \"exact\"\n[tasks]\nsource = \"suite\"\n").is_err(),
+            "the solver has one stepping order; there is no mode to pick"
         );
         assert!(parse_toml("key value\n").is_err());
         assert!(parse_toml("[unterminated\n").is_err());

@@ -641,13 +641,12 @@ impl Server {
                 scenarios.push_str(", ");
             }
             scenarios.push_str(&format!(
-                "{{\"name\": {}, \"solver_mode\": {}, \"runs\": {}, \"analyzes\": {}, \
+                "{{\"name\": {}, \"runs\": {}, \"analyzes\": {}, \
                  \"module_analyzes\": {}, \
                  \"cache\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}, \
                  \"rejected_stores\": {}, \"summary_hits\": {}, \"summary_stores\": {}, \
                  \"preloaded\": {}}}",
                 escape(stem),
-                escape(env.prepared.config().dfa.solver_mode.as_str()),
                 env.runs.load(Ordering::Relaxed),
                 env.analyzes.load(Ordering::Relaxed),
                 env.module_analyzes.load(Ordering::Relaxed),

@@ -9,11 +9,10 @@
 //! compile-time analysis is scored against (experiment E4).
 
 use crate::trace::AccessTrace;
-use serde::{Deserialize, Serialize};
 use tadfa_thermal::{PowerModel, RegisterFile, StepScratch, ThermalModel, ThermalState};
 
 /// Configuration of the co-simulation.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct CosimConfig {
     /// Physical seconds per cycle.
     pub seconds_per_cycle: f64,
@@ -120,7 +119,7 @@ pub fn simulate_trace(
 }
 
 /// Accuracy of a predicted map against a measured one — the E4 metrics.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct AccuracyReport {
     /// Root-mean-square temperature error, K.
     pub rms: f64,

@@ -2,11 +2,10 @@
 //! axis of every §4 trade-off.
 
 use crate::trace::AccessTrace;
-use serde::{Deserialize, Serialize};
 use tadfa_thermal::PowerModel;
 
 /// Energy/performance summary of one traced run.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct RunStats {
     /// Total cycles.
     pub cycles: u64,

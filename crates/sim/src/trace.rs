@@ -1,11 +1,10 @@
 //! Register access traces — the raw material of feedback-driven thermal
 //! evaluation.
 
-use serde::{Deserialize, Serialize};
 use tadfa_ir::PReg;
 
 /// Direction of a register-file access.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum AccessKind {
     /// Register read (operand fetch).
     Read,
@@ -14,7 +13,7 @@ pub enum AccessKind {
 }
 
 /// One register-file access at a specific cycle.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct AccessEvent {
     /// Cycle the access occurs in.
     pub cycle: u64,
@@ -38,7 +37,7 @@ pub struct AccessEvent {
 /// assert_eq!(t.len(), 2);
 /// assert_eq!(t.reads_of(PReg::new(1)), 1);
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct AccessTrace {
     events: Vec<AccessEvent>,
 }

@@ -3,7 +3,6 @@
 
 use crate::constants;
 use crate::error::ThermalError;
-use serde::{Deserialize, Serialize};
 
 /// A rectangular grid of register cells.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(fp.position(10), (1, 2));
 /// assert_eq!(fp.neighbors(0).count(), 2); // corner cell
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Floorplan {
     rows: usize,
     cols: usize,
@@ -216,7 +215,7 @@ impl Floorplan {
 /// assert_eq!(rf.num_regs(), 32);
 /// assert_eq!(rf.cell_of(PReg::new(9)), 9);
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct RegisterFile {
     floorplan: Floorplan,
     /// `cell_of[r]` = cell index of physical register `r`.

@@ -63,7 +63,7 @@ pub use map::{render_ascii, render_ascii_auto, render_numeric, to_csv};
 pub use power::{accumulate_scaled, PowerModel};
 pub use rc::{RcParams, ThermalModel};
 pub use solver::{
-    CompiledModel, KernelKind, LeakageParams, SolverMode, SteadyStateOptions, SteadyStateStats,
-    StepSchedule, StepScratch,
+    CompiledModel, KernelKind, LeakageParams, SteadyStateOptions, SteadyStateStats, StepSchedule,
+    StepScratch,
 };
 pub use state::{MapStats, ThermalState};

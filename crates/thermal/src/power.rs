@@ -7,11 +7,10 @@
 use crate::constants;
 use crate::floorplan::RegisterFile;
 use crate::state::ThermalState;
-use serde::{Deserialize, Serialize};
 use tadfa_ir::PReg;
 
 /// Access energies and leakage coefficients of the register file.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct PowerModel {
     /// Energy per register read, J.
     pub read_energy: f64,
@@ -58,7 +57,7 @@ impl PowerModel {
 
     /// This model's leakage coefficients in the compiled solver's
     /// kernel-ready form (see
-    /// [`CompiledModel::step_leaky_into`](crate::solver::CompiledModel::step_leaky_into)).
+    /// [`CompiledModel::step_sparse_into`](crate::solver::CompiledModel::step_sparse_into)).
     pub fn leakage_params(&self) -> crate::solver::LeakageParams {
         crate::solver::LeakageParams {
             per_cell: self.leakage_per_cell,

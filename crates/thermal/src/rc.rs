@@ -17,10 +17,9 @@ use crate::error::ThermalError;
 use crate::floorplan::Floorplan;
 use crate::solver::{CompiledModel, SteadyStateOptions, SteadyStateStats, StepScratch};
 use crate::state::ThermalState;
-use serde::{Deserialize, Serialize};
 
 /// Lumped RC parameters of the network (per cell / per edge).
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct RcParams {
     /// Thermal capacitance per cell, J/K.
     pub cell_capacitance: f64,
@@ -103,7 +102,7 @@ impl RcParams {
 /// assert!(steady.get(5) > model.ambient());           // heats up
 /// assert!(steady.get(5) > steady.get(15));            // hotter than far cell
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ThermalModel {
     floorplan: Floorplan,
     params: RcParams,

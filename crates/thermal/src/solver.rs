@@ -49,63 +49,19 @@
 //!
 //! // Allocation-free stepping: the scratch buffer is reused forever.
 //! let mut scratch = StepScratch::default();
-//! let mut fast = model.ambient_state();
+//! let mut compiled = model.ambient_state();
 //! let mut naive = model.ambient_state();
 //! for _ in 0..10 {
-//!     solver.step_into(&mut fast, &power, 1e-4, &mut scratch);
+//!     solver.step_into(&mut compiled, &power, 1e-4, &mut scratch);
 //!     model.step(&mut naive, &power, 1e-4);
 //! }
-//! assert_eq!(fast.temps(), naive.temps()); // bit-identical
+//! assert_eq!(compiled.temps(), naive.temps()); // bit-identical
 //! ```
 
 use crate::error::ThermalError;
 use crate::lanes::{LANES, W8};
 use crate::rc::{RcParams, ThermalModel};
 use crate::state::ThermalState;
-
-/// Numeric contract a solve runs under.
-///
-/// The default, [`SolverMode::Exact`], preserves the naive solvers'
-/// floating-point operation order bit for bit — the contract every
-/// fingerprint, golden report, and cache key in the workspace is built
-/// on (see `docs/DETERMINISM.md`).
-///
-/// [`SolverMode::Fast`] is the opt-in reassociation-permitting variant:
-/// it may precompute `h / cap` (turning the per-cell `h·flow/cap`
-/// divide into a multiply) and reciprocal Gauss–Seidel denominators.
-/// Results stay deterministic for a fixed build/machine but are **not**
-/// bit-identical to `Exact`; the divergence is bounded (asserted at
-/// ≤ 1e-9 K per transient step sequence and ≤ 1e-5 K per steady solve
-/// in this crate's tests) and golden gates refuse it unless explicitly
-/// requested.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum SolverMode {
-    /// Bit-exact kernels — the fingerprint-stable default.
-    #[default]
-    Exact,
-    /// Reassociation-permitting kernels with a bounded-divergence
-    /// contract. Never used unless explicitly configured.
-    Fast,
-}
-
-impl SolverMode {
-    /// The spec/JSON spelling (`"exact"` / `"fast"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SolverMode::Exact => "exact",
-            SolverMode::Fast => "fast",
-        }
-    }
-
-    /// Parses the spec/JSON spelling accepted by scenario files.
-    pub fn parse(s: &str) -> Option<SolverMode> {
-        match s {
-            "exact" => Some(SolverMode::Exact),
-            "fast" => Some(SolverMode::Fast),
-            _ => None,
-        }
-    }
-}
 
 /// Which inner kernel a [`CompiledModel`] executes.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -124,14 +80,14 @@ pub enum KernelKind {
 /// [`ThermalModel::step_into`].
 ///
 /// Holds the transient solver's `next`-temperatures buffer (and, for
-/// the multi-sub-step leaky path, a dense power staging buffer) so
+/// the sub-stepped sparse path, a dense power staging buffer) so
 /// repeated stepping never allocates. One scratch serves models of any
 /// size (buffers are resized on first use per size); the thermal DFA
 /// keeps one inside its `DfaScratch` per worker.
 #[derive(Clone, Debug, Default)]
 pub struct StepScratch {
     pub(crate) next: Vec<f64>,
-    /// Dense `access + leakage` staging for the sub-stepped leaky path.
+    /// Dense `access + leakage` staging for the sub-stepped sparse path.
     dense_power: Vec<f64>,
     /// Maintained-all-zero scatter target for the single-sub-step sparse
     /// path: deposits are scattered in, the fused kernel runs over it,
@@ -286,9 +242,6 @@ pub struct CompiledModel {
     /// as the naive sweep folds it (`g_vert`, then `+ g_lat` per
     /// neighbour) so quotients stay bit-identical.
     gs_den: Vec<f64>,
-    /// Per-cell reciprocal of `gs_den` — only the opt-in
-    /// [`SolverMode::Fast`] steady sweep reads it.
-    gs_rden: Vec<f64>,
     /// Per-edge conductances parallel to `col_idx` — populated only by
     /// [`CompiledModel::from_weighted_graph`]. Empty means every edge
     /// carries the uniform `g_lat` (the grid constructors), and the
@@ -331,7 +284,6 @@ impl CompiledModel {
             row_ptr.push(col_idx.len() as u32);
             gs_den.push(den);
         }
-        let gs_rden = gs_den.iter().map(|&d| 1.0 / d).collect();
 
         CompiledModel {
             rows: fp.rows(),
@@ -346,7 +298,6 @@ impl CompiledModel {
             row_ptr,
             col_idx,
             gs_den,
-            gs_rden,
             edge_g: Vec::new(),
             lanes: ModelLanes::new(g_vert, g_lat, params.ambient, params.cell_capacitance),
         }
@@ -430,7 +381,6 @@ impl CompiledModel {
             row_ptr.push(col_idx.len() as u32);
             gs_den.push(den);
         }
-        let gs_rden = gs_den.iter().map(|&d| 1.0 / d).collect();
 
         Ok(CompiledModel {
             // The stencil kernel never runs on a weighted plan; the
@@ -447,7 +397,6 @@ impl CompiledModel {
             row_ptr,
             col_idx,
             gs_den,
-            gs_rden,
             edge_g,
             lanes: ModelLanes::new(g_vert, g_lat, params.ambient, params.cell_capacitance),
         })
@@ -496,9 +445,10 @@ impl CompiledModel {
         }
     }
 
-    /// Advances `state` by `dt` seconds under `power`, sub-stepping as
-    /// needed for stability — [`ThermalModel::step`] without the per-call
-    /// allocation and neighbour-iterator overhead, bit-identical to it.
+    /// Advances `state` by `dt` seconds under dense `power`, sub-stepping
+    /// as needed for stability — [`ThermalModel::step`] without the
+    /// per-call allocation and neighbour-iterator overhead, bit-identical
+    /// to it. The die simulation's and the co-simulation's call.
     ///
     /// # Panics
     ///
@@ -512,19 +462,7 @@ impl CompiledModel {
         dt: f64,
         scratch: &mut StepScratch,
     ) {
-        self.step_scheduled_into(state, power, &self.schedule(dt), scratch);
-    }
-
-    /// [`step_into`](CompiledModel::step_into) under a precomputed
-    /// [`StepSchedule`] — skips the per-call sub-step derivation.
-    #[inline]
-    pub fn step_scheduled_into(
-        &self,
-        state: &mut ThermalState,
-        power: &[f64],
-        sched: &StepSchedule,
-        scratch: &mut StepScratch,
-    ) {
+        let sched = self.schedule(dt);
         assert_eq!(power.len(), self.n, "power vector size mismatch");
         assert_eq!(state.len(), self.n, "state size mismatch");
         debug_assert!(power.iter().all(|&p| p >= 0.0), "negative power");
@@ -532,10 +470,9 @@ impl CompiledModel {
             return;
         }
         scratch.ensure(self.n);
-        self.run_substeps::<false, false>(
+        self.run_substeps(
             state,
             power,
-            &NO_LEAK,
             sched.n_sub as usize,
             sched.h,
             &mut scratch.next,
@@ -543,197 +480,35 @@ impl CompiledModel {
         );
     }
 
-    /// [`step_into`](CompiledModel::step_into) under temperature-dependent
-    /// leakage: advances `state` exactly as "add `leak` of the *current*
-    /// state to `power`, then step" would — bit for bit — without ever
-    /// materialising the dense power vector in the common single-sub-step
-    /// case. The caller's `power` holds only the sparse access power, so
-    /// its owner can keep resetting it in O(accesses).
-    ///
-    /// With sub-stepping (`dt` above the stability limit), leakage must
-    /// stay frozen at the pre-step temperatures to match the reference
-    /// semantics; that path stages `power + leak` into the scratch's
-    /// dense buffer once and runs the plain kernel over it.
-    ///
-    /// # Panics
-    ///
-    /// As [`step_into`](CompiledModel::step_into).
-    #[inline]
-    pub fn step_leaky_into(
-        &self,
-        state: &mut ThermalState,
-        power: &[f64],
-        dt: f64,
-        leak: &LeakageParams,
-        scratch: &mut StepScratch,
-    ) {
-        self.step_leaky_scheduled_into(state, power, &self.schedule(dt), leak, scratch);
-    }
-
-    /// [`step_leaky_into`](CompiledModel::step_leaky_into) under a
-    /// precomputed [`StepSchedule`] — skips the per-call sub-step
-    /// derivation (the thermal DFA's innermost call).
-    #[inline]
-    pub fn step_leaky_scheduled_into(
-        &self,
-        state: &mut ThermalState,
-        power: &[f64],
-        sched: &StepSchedule,
-        leak: &LeakageParams,
-        scratch: &mut StepScratch,
-    ) {
-        assert_eq!(power.len(), self.n, "power vector size mismatch");
-        assert_eq!(state.len(), self.n, "state size mismatch");
-        debug_assert!(power.iter().all(|&p| p >= 0.0), "negative power");
-        if sched.n_sub == 0 {
-            return;
-        }
-
-        let n_sub = sched.n_sub as usize;
-        let h = sched.h;
-        scratch.ensure(self.n);
-        if n_sub == 1 {
-            // One sub-step: the "current" temperatures are the pre-step
-            // temperatures, so leakage can fold into the kernel.
-            self.run_substeps::<true, false>(state, power, leak, n_sub, h, &mut scratch.next, None);
-        } else {
-            // Freeze leakage at the pre-step state, then step plainly.
-            let dense = &mut scratch.dense_power;
-            dense.clear();
-            dense.extend(
-                power
-                    .iter()
-                    .zip(state.temps())
-                    .map(|(&p, &t)| p + leak_at(leak, t)),
-            );
-            self.run_substeps::<false, false>(
-                state,
-                dense,
-                &NO_LEAK,
-                n_sub,
-                h,
-                &mut scratch.next,
-                None,
-            );
-        }
-    }
-
     /// Advances `state` under **sparse** access power: `deposits` lists
     /// the `(cell, watts)` pairs (each cell at most once, watts
     /// pre-summed); every unlisted cell has zero access power. With
-    /// `leak`, temperature-dependent leakage is fused into the kernel.
+    /// `leak`, temperature-dependent leakage of the pre-step
+    /// temperatures is added to every cell — bit for bit as "add
+    /// `PowerModel` leakage, then step" would.
+    ///
+    /// With `prev`, the fixpoint's compare-and-copy is **fused into the
+    /// kernel**: the call returns the L∞ distance between the new
+    /// temperatures and `prev` while overwriting `prev` with them, in
+    /// the same pass over the grid. That is exactly equivalent (bit for
+    /// bit, including the returned change) to stepping without `prev`
+    /// and then calling
+    /// [`ThermalState::linf_update_slices`]`(prev, state.temps())`: the
+    /// per-lane `max` folds it splits off are exactly associative. With
+    /// sub-stepping, only the final sub-step is tracked. Without `prev`
+    /// the call returns `0.0`.
     ///
     /// This is the thermal DFA's innermost call: on the single-sub-step
     /// path the deposits are scattered into a maintained-all-zero dense
     /// buffer, one fused kernel pass runs over it, and the touched
     /// cells are re-zeroed — O(accesses) bookkeeping around a single
     /// grid pass. Bit-identical to scattering the deposits into a dense
-    /// zero vector (adding leakage) and calling the dense entry points,
-    /// because `0.0 + x` is exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` has the wrong size or a deposit cell is out of
-    /// range.
-    #[inline]
-    pub fn step_sparse_into(
-        &self,
-        state: &mut ThermalState,
-        deposits: &[(u32, f64)],
-        sched: &StepSchedule,
-        leak: Option<&LeakageParams>,
-        scratch: &mut StepScratch,
-    ) {
-        self.step_sparse_mode_into(state, deposits, sched, leak, SolverMode::Exact, scratch);
-    }
-
-    /// [`step_sparse_into`](CompiledModel::step_sparse_into) under an
-    /// explicit [`SolverMode`]. `Exact` is bit-identical to the naive
-    /// solvers; `Fast` obeys the bounded-divergence contract on
-    /// [`SolverMode`].
+    /// zero vector and stepping it, because `0.0 + x` is exact.
     ///
     /// # Examples
     ///
     /// ```
-    /// use tadfa_thermal::{Floorplan, RcParams, SolverMode, StepScratch, ThermalModel};
-    ///
-    /// let model = ThermalModel::new(Floorplan::grid(4, 4), RcParams::default());
-    /// let solver = model.compile();
-    /// let sched = solver.schedule(1e-4);
-    /// let mut scratch = StepScratch::new();
-    ///
-    /// let mut exact = model.ambient_state();
-    /// let mut fast = model.ambient_state();
-    /// for _ in 0..100 {
-    ///     solver.step_sparse_mode_into(
-    ///         &mut exact, &[(5, 1e-3)], &sched, None, SolverMode::Exact, &mut scratch);
-    ///     solver.step_sparse_mode_into(
-    ///         &mut fast, &[(5, 1e-3)], &sched, None, SolverMode::Fast, &mut scratch);
-    /// }
-    /// // Fast reassociates (h·flow/cap → flow·(h/cap)) but stays within
-    /// // the documented divergence bound of the exact trajectory.
-    /// let diff = exact.linf_distance(&fast);
-    /// assert!(diff <= 1e-9, "divergence {diff}");
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// As [`step_sparse_into`](CompiledModel::step_sparse_into).
-    #[inline]
-    pub fn step_sparse_mode_into(
-        &self,
-        state: &mut ThermalState,
-        deposits: &[(u32, f64)],
-        sched: &StepSchedule,
-        leak: Option<&LeakageParams>,
-        mode: SolverMode,
-        scratch: &mut StepScratch,
-    ) {
-        match (leak, mode) {
-            (Some(lp), SolverMode::Exact) => {
-                self.sparse_impl::<true, false, false>(state, deposits, sched, lp, scratch, &mut [])
-            }
-            (Some(lp), SolverMode::Fast) => {
-                self.sparse_impl::<true, false, true>(state, deposits, sched, lp, scratch, &mut [])
-            }
-            (None, SolverMode::Exact) => self.sparse_impl::<false, false, false>(
-                state,
-                deposits,
-                sched,
-                &NO_LEAK,
-                scratch,
-                &mut [],
-            ),
-            (None, SolverMode::Fast) => self.sparse_impl::<false, false, true>(
-                state,
-                deposits,
-                sched,
-                &NO_LEAK,
-                scratch,
-                &mut [],
-            ),
-        };
-    }
-
-    /// [`step_sparse_mode_into`](CompiledModel::step_sparse_mode_into)
-    /// with the fixpoint's compare-and-copy **fused into the kernel**:
-    /// advances `state`, then returns the L∞ distance between the new
-    /// temperatures and `prev` while overwriting `prev` with them — all
-    /// in the same pass over the grid.
-    ///
-    /// Exactly equivalent (bit for bit, including the returned change)
-    /// to calling the untracked entry and then
-    /// [`ThermalState::linf_update_slices`]`(prev, state.temps())`: the
-    /// per-lane `max` folds it splits off are exactly associative. With
-    /// sub-stepping, only the final sub-step is tracked — the
-    /// intermediate temperatures never existed for the untracked +
-    /// `linf` composition either.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use tadfa_thermal::{Floorplan, RcParams, SolverMode, StepScratch, ThermalModel,
-    ///                     ThermalState};
+    /// use tadfa_thermal::{Floorplan, RcParams, StepScratch, ThermalModel, ThermalState};
     ///
     /// let model = ThermalModel::new(Floorplan::grid(4, 4), RcParams::default());
     /// let solver = model.compile();
@@ -742,14 +517,13 @@ impl CompiledModel {
     ///
     /// let mut tracked = model.ambient_state();
     /// let mut prev = vec![solver.ambient(); 16];
-    /// let change = solver.step_sparse_tracked_into(
-    ///     &mut tracked, &[(5, 1e-3)], &sched, None, SolverMode::Exact,
-    ///     &mut scratch, &mut prev);
+    /// let change = solver.step_sparse_into(
+    ///     &mut tracked, &[(5, 1e-3)], &sched, None, &mut scratch, Some(&mut prev));
     ///
     /// // Bit-identical to stepping untracked and folding separately.
     /// let mut plain = model.ambient_state();
     /// let mut prev2 = vec![solver.ambient(); 16];
-    /// solver.step_sparse_into(&mut plain, &[(5, 1e-3)], &sched, None, &mut scratch);
+    /// solver.step_sparse_into(&mut plain, &[(5, 1e-3)], &sched, None, &mut scratch, None);
     /// let expect = ThermalState::linf_update_slices(&mut prev2, plain.temps());
     /// assert_eq!(tracked.temps(), plain.temps());
     /// assert_eq!(change.to_bits(), expect.to_bits());
@@ -758,38 +532,38 @@ impl CompiledModel {
     ///
     /// # Panics
     ///
-    /// As [`step_sparse_into`](CompiledModel::step_sparse_into), plus if
-    /// `prev.len()` differs from the cell count.
-    #[allow(clippy::too_many_arguments)] // the DFA's innermost call: every arg is hot-path state
+    /// Panics if `state` or `prev` has the wrong size or a deposit cell
+    /// is out of range.
     #[inline]
-    pub fn step_sparse_tracked_into(
+    pub fn step_sparse_into(
         &self,
         state: &mut ThermalState,
         deposits: &[(u32, f64)],
         sched: &StepSchedule,
         leak: Option<&LeakageParams>,
-        mode: SolverMode,
         scratch: &mut StepScratch,
-        prev: &mut [f64],
+        prev: Option<&mut [f64]>,
     ) -> f64 {
-        assert_eq!(prev.len(), self.n, "prev size mismatch");
-        match (leak, mode) {
-            (Some(lp), SolverMode::Exact) => {
-                self.sparse_impl::<true, true, false>(state, deposits, sched, lp, scratch, prev)
+        match (leak, prev) {
+            (Some(lp), Some(prev)) => {
+                self.sparse_impl::<true, true>(state, deposits, sched, lp, scratch, prev)
             }
-            (Some(lp), SolverMode::Fast) => {
-                self.sparse_impl::<true, true, true>(state, deposits, sched, lp, scratch, prev)
+            (Some(lp), None) => {
+                self.sparse_impl::<true, false>(state, deposits, sched, lp, scratch, &mut [])
             }
-            (None, SolverMode::Exact) => self
-                .sparse_impl::<false, true, false>(state, deposits, sched, &NO_LEAK, scratch, prev),
-            (None, SolverMode::Fast) => self
-                .sparse_impl::<false, true, true>(state, deposits, sched, &NO_LEAK, scratch, prev),
+            (None, Some(prev)) => {
+                self.sparse_impl::<false, true>(state, deposits, sched, &NO_LEAK, scratch, prev)
+            }
+            (None, None) => {
+                self.sparse_impl::<false, false>(state, deposits, sched, &NO_LEAK, scratch, &mut [])
+            }
         }
     }
 
-    /// The one sparse-stepping implementation behind the public
-    /// entries, monomorphized over leakage, change tracking, and mode.
-    fn sparse_impl<const LEAKY: bool, const TRACK: bool, const FAST: bool>(
+    /// The one sparse-stepping implementation behind
+    /// [`step_sparse_into`](CompiledModel::step_sparse_into),
+    /// monomorphized over leakage and change tracking.
+    fn sparse_impl<const LEAKY: bool, const TRACK: bool>(
         &self,
         state: &mut ThermalState,
         deposits: &[(u32, f64)],
@@ -799,6 +573,9 @@ impl CompiledModel {
         prev: &mut [f64],
     ) -> f64 {
         assert_eq!(state.len(), self.n, "state size mismatch");
+        if TRACK {
+            assert_eq!(prev.len(), self.n, "prev size mismatch");
+        }
         // Out-of-range deposit cells panic at the indexing site (the
         // scatter loops); no up-front scan needed.
         debug_assert!(deposits.iter().all(|&(_, w)| w >= 0.0), "negative power");
@@ -827,7 +604,7 @@ impl CompiledModel {
             for &(p, w) in deposits {
                 sparse_power[p as usize] += w;
             }
-            let change = self.substep_dispatch::<LEAKY, TRACK, FAST>(
+            let change = self.substep_dispatch::<LEAKY, TRACK>(
                 state.temps(),
                 sparse_power,
                 leak,
@@ -857,10 +634,9 @@ impl CompiledModel {
                 *pd += leak_at(leak, t);
             }
         }
-        self.run_substeps::<false, FAST>(
+        self.run_substeps(
             state,
             dense_power,
-            &NO_LEAK,
             sched.n_sub as usize,
             sched.h,
             next,
@@ -871,7 +647,7 @@ impl CompiledModel {
     /// One sub-step through the selected kernel. Returns the tracked L∞
     /// change (0.0 when `!TRACK`; `prev` must then be empty).
     #[inline]
-    fn substep_dispatch<const LEAKY: bool, const TRACK: bool, const FAST: bool>(
+    fn substep_dispatch<const LEAKY: bool, const TRACK: bool>(
         &self,
         t: &[f64],
         power: &[f64],
@@ -882,30 +658,26 @@ impl CompiledModel {
     ) -> f64 {
         match self.kernel {
             KernelKind::Stencil => {
-                self.substep_stencil::<LEAKY, TRACK, FAST>(t, power, leak, next, prev, h)
+                self.substep_stencil::<LEAKY, TRACK>(t, power, leak, next, prev, h)
             }
             KernelKind::Csr if self.edge_g.is_empty() => {
-                self.substep_csr::<LEAKY, TRACK, FAST, false>(t, power, leak, next, prev, h)
+                self.substep_csr::<LEAKY, TRACK, false>(t, power, leak, next, prev, h)
             }
             KernelKind::Csr => {
-                self.substep_csr::<LEAKY, TRACK, FAST, true>(t, power, leak, next, prev, h)
+                self.substep_csr::<LEAKY, TRACK, true>(t, power, leak, next, prev, h)
             }
         }
     }
 
-    /// Executes `n_sub` Euler sub-steps through the selected kernel.
-    /// When `LEAKY`, each cell's power is `power[i] + leak(T_i)` of the
-    /// current sub-step's temperatures (callers guarantee `n_sub == 1`
-    /// when that must equal the pre-step temperatures). With `track`,
-    /// the **final** sub-step fuses the compare-and-copy against the
-    /// given previous temperatures and the L∞ change is returned.
-    #[allow(clippy::too_many_arguments)]
+    /// Executes `n_sub` Euler sub-steps of dense `power` through the
+    /// selected kernel. With `track`, the **final** sub-step fuses the
+    /// compare-and-copy against the given previous temperatures and the
+    /// L∞ change is returned.
     #[inline]
-    fn run_substeps<const LEAKY: bool, const FAST: bool>(
+    fn run_substeps(
         &self,
         state: &mut ThermalState,
         power: &[f64],
-        leak: &LeakageParams,
         n_sub: usize,
         h: f64,
         next: &mut Vec<f64>,
@@ -913,35 +685,28 @@ impl CompiledModel {
     ) -> f64 {
         let mut change = 0.0;
         for k in 0..n_sub {
-            if k + 1 == n_sub {
-                if let Some(prev) = track.take() {
-                    change = self.substep_dispatch::<LEAKY, true, FAST>(
+            let tracked = if k + 1 == n_sub { track.take() } else { None };
+            match tracked {
+                Some(prev) => {
+                    change = self.substep_dispatch::<false, true>(
                         state.temps(),
                         power,
-                        leak,
+                        &NO_LEAK,
                         next,
                         prev,
                         h,
                     );
-                } else {
-                    self.substep_dispatch::<LEAKY, false, FAST>(
+                }
+                None => {
+                    self.substep_dispatch::<false, false>(
                         state.temps(),
                         power,
-                        leak,
+                        &NO_LEAK,
                         next,
                         &mut [],
                         h,
                     );
                 }
-            } else {
-                self.substep_dispatch::<LEAKY, false, FAST>(
-                    state.temps(),
-                    power,
-                    leak,
-                    next,
-                    &mut [],
-                    h,
-                );
             }
             // The freshly computed temperatures become the state by
             // pointer swap; the old state vector becomes next round's
@@ -965,55 +730,14 @@ impl CompiledModel {
         out: &mut ThermalState,
         opts: &SteadyStateOptions,
     ) -> SteadyStateStats {
-        self.steady_state_mode_into(power, out, opts, SolverMode::Exact)
-    }
-
-    /// [`steady_state_into`](CompiledModel::steady_state_into) under an
-    /// explicit [`SolverMode`]: `Fast` replaces each cell's
-    /// Gauss–Seidel divide with a multiply by the precomputed
-    /// reciprocal denominator (bounded divergence, not bit-exact).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use tadfa_thermal::{Floorplan, RcParams, SolverMode, SteadyStateOptions, ThermalModel};
-    ///
-    /// let model = ThermalModel::new(Floorplan::grid(4, 4), RcParams::default());
-    /// let solver = model.compile();
-    /// let mut power = vec![0.0; 16];
-    /// power[5] = 1e-3;
-    /// let opts = SteadyStateOptions::default();
-    ///
-    /// let mut exact = solver.ambient_state();
-    /// let mut fast = solver.ambient_state();
-    /// solver.steady_state_mode_into(&power, &mut exact, &opts, SolverMode::Exact);
-    /// let stats = solver.steady_state_mode_into(&power, &mut fast, &opts, SolverMode::Fast);
-    /// assert!(stats.converged);
-    /// assert!(exact.linf_distance(&fast) <= 1e-5); // bounded divergence
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `power.len()` differs from the cell count.
-    pub fn steady_state_mode_into(
-        &self,
-        power: &[f64],
-        out: &mut ThermalState,
-        opts: &SteadyStateOptions,
-        mode: SolverMode,
-    ) -> SteadyStateStats {
         assert_eq!(power.len(), self.n, "power vector size mismatch");
         out.reset_uniform(self.n, self.ambient);
         let mut stats = SteadyStateStats::start();
         for _ in 0..opts.max_sweeps {
             let t = out.temps_mut();
-            let max_delta = match (self.kernel, mode) {
-                (KernelKind::Stencil, SolverMode::Exact) => {
-                    self.gs_sweep_stencil::<false>(t, power)
-                }
-                (KernelKind::Stencil, SolverMode::Fast) => self.gs_sweep_stencil::<true>(t, power),
-                (KernelKind::Csr, SolverMode::Exact) => self.gs_sweep_csr::<false>(t, power),
-                (KernelKind::Csr, SolverMode::Fast) => self.gs_sweep_csr::<true>(t, power),
+            let max_delta = match self.kernel {
+                KernelKind::Stencil => self.gs_sweep_stencil(t, power),
+                KernelKind::Csr => self.gs_sweep_csr(t, power),
             };
             stats.sweeps += 1;
             stats.residual = max_delta;
@@ -1040,7 +764,7 @@ impl CompiledModel {
     /// in three bands (first, interior, last), each monomorphized over
     /// its vertical-neighbour pattern by [`CompiledModel::stencil_row`].
     /// Returns the tracked L∞ change (0.0 when `!TRACK`).
-    fn substep_stencil<const LEAKY: bool, const TRACK: bool, const FAST: bool>(
+    fn substep_stencil<const LEAKY: bool, const TRACK: bool>(
         &self,
         t: &[f64],
         power: &[f64],
@@ -1049,7 +773,7 @@ impl CompiledModel {
         prev: &mut [f64],
         h: f64,
     ) -> f64 {
-        let ctx = LaneCtx::new(self, leak, h, FAST);
+        let ctx = LaneCtx::new(self, leak, h);
         let rows = self.rows;
         // Exactly-one-chunk rows (the 8-wide register files every
         // shipped floorplan uses) take the specialized whole-grid pass:
@@ -1057,7 +781,7 @@ impl CompiledModel {
         // edges — bit-identical by the same masked-conductance argument
         // as the lateral edges.
         if self.cols == LANES {
-            return self.stencil_pass_w8::<LEAKY, TRACK, FAST>(t, power, next, prev, &ctx);
+            return self.stencil_pass_w8::<LEAKY, TRACK>(t, power, next, prev, &ctx);
         }
         // Lane-wise change accumulators are folded across all rows and
         // reduced to a scalar exactly once — `max` is exactly
@@ -1066,25 +790,23 @@ impl CompiledModel {
         // single most expensive instruction sequence in the pass.
         let (mut vacc, mut sacc) = (ctx.zero, 0.0f64);
         if rows == 1 {
-            let (v, s) = self.stencil_row::<LEAKY, false, false, TRACK, FAST>(
-                t, power, leak, next, prev, 0, h, &ctx,
-            );
+            let (v, s) = self
+                .stencil_row::<LEAKY, false, false, TRACK>(t, power, leak, next, prev, 0, h, &ctx);
             vacc = v;
             sacc = s;
         } else {
-            let (v, s) = self.stencil_row::<LEAKY, false, true, TRACK, FAST>(
-                t, power, leak, next, prev, 0, h, &ctx,
-            );
+            let (v, s) = self
+                .stencil_row::<LEAKY, false, true, TRACK>(t, power, leak, next, prev, 0, h, &ctx);
             vacc = vacc.max(v);
             sacc = sacc.max(s);
             for r in 1..rows - 1 {
-                let (v, s) = self.stencil_row::<LEAKY, true, true, TRACK, FAST>(
+                let (v, s) = self.stencil_row::<LEAKY, true, true, TRACK>(
                     t, power, leak, next, prev, r, h, &ctx,
                 );
                 vacc = vacc.max(v);
                 sacc = sacc.max(s);
             }
-            let (v, s) = self.stencil_row::<LEAKY, true, false, TRACK, FAST>(
+            let (v, s) = self.stencil_row::<LEAKY, true, false, TRACK>(
                 t,
                 power,
                 leak,
@@ -1122,7 +844,7 @@ impl CompiledModel {
     /// compare-and-overwrite semantics match
     /// [`stencil_row`](Self::stencil_row).
     #[inline(always)]
-    fn stencil_pass_w8<const LEAKY: bool, const TRACK: bool, const FAST: bool>(
+    fn stencil_pass_w8<const LEAKY: bool, const TRACK: bool>(
         &self,
         t: &[f64],
         power: &[f64],
@@ -1175,11 +897,7 @@ impl CompiledModel {
                 flow = flow.sub(ti.sub(down).mul(gd));
                 flow = flow.sub(ti.sub(ti.shift_head_dup()).mul(ctx.gl_first));
                 flow = flow.sub(ti.sub(ti.shift_tail_dup()).mul(ctx.gr_last));
-                let out_v = if FAST {
-                    ti.add(flow.mul(ctx.step)) // step = h/cap
-                } else {
-                    ti.add(ctx.step.mul(flow).div(ctx.cap)) // step = h
-                };
+                let out_v = ti.add(ctx.h.mul(flow).div(ctx.cap));
                 out_v.store(np.add(base));
                 if TRACK {
                     let pv = W8::load(prevp.add(base));
@@ -1217,8 +935,7 @@ impl CompiledModel {
     /// order matches the naive solver exactly: leakage
     /// `(pc·(1+co·(T−Tr))).max(0)`, then `flow = pw − (T−amb)·g_vert`,
     /// then the up/down/left/right conductance terms in
-    /// `Floorplan::neighbors` order, then `T + h·flow/cap`
-    /// (`T + flow·(h/cap)` under `FAST`).
+    /// `Floorplan::neighbors` order, then `T + h·flow/cap`.
     ///
     /// Returns this row's tracked change as a `(lane, scalar-tail)`
     /// accumulator pair — the caller folds rows lane-wise and performs
@@ -1228,13 +945,7 @@ impl CompiledModel {
     /// so the split accumulators cannot change the result).
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn stencil_row<
-        const LEAKY: bool,
-        const UP: bool,
-        const DOWN: bool,
-        const TRACK: bool,
-        const FAST: bool,
-    >(
+    fn stencil_row<const LEAKY: bool, const UP: bool, const DOWN: bool, const TRACK: bool>(
         &self,
         t: &[f64],
         power: &[f64],
@@ -1304,11 +1015,7 @@ impl CompiledModel {
             };
             let gr = if last { ctx.gr_last } else { ctx.g };
             flow = flow.sub(ti.sub(right).mul(gr));
-            let out_v = if FAST {
-                ti.add(flow.mul(ctx.step)) // step = h/cap
-            } else {
-                ti.add(ctx.step.mul(flow).div(ctx.cap)) // step = h
-            };
+            let out_v = ti.add(ctx.h.mul(flow).div(ctx.cap));
             out_v.write(&mut out[c0..]);
             if TRACK {
                 let pv = W8::read(&prow[c0..]);
@@ -1340,11 +1047,7 @@ impl CompiledModel {
             if c + 1 < cols {
                 flow -= (ti - row[c + 1]) * g_lat;
             }
-            let nv = if FAST {
-                ti + flow * ctx.hcap
-            } else {
-                ti + h * flow / cap
-            };
+            let nv = ti + h * flow / cap;
             out[c] = nv;
             if TRACK {
                 scalar_acc = scalar_acc.max((nv - prow[c]).abs());
@@ -1358,9 +1061,9 @@ impl CompiledModel {
     /// `WEIGHTED`, each edge carries its own conductance from `edge_g`
     /// (the weighted-graph plans); otherwise every edge is the uniform
     /// `g_lat`, byte-for-byte the historical loop. Change tracking
-    /// (`TRACK`) and the fast-mode update fuse exactly as in the
-    /// stencil kernel; returns the tracked L∞ change (0.0 otherwise).
-    fn substep_csr<const LEAKY: bool, const TRACK: bool, const FAST: bool, const WEIGHTED: bool>(
+    /// (`TRACK`) fuses exactly as in the stencil kernel; returns the
+    /// tracked L∞ change (0.0 otherwise).
+    fn substep_csr<const LEAKY: bool, const TRACK: bool, const WEIGHTED: bool>(
         &self,
         t: &[f64],
         power: &[f64],
@@ -1370,7 +1073,6 @@ impl CompiledModel {
         h: f64,
     ) -> f64 {
         let (g_vert, g_lat, amb, cap) = (self.g_vert, self.g_lat, self.ambient, self.cap);
-        let hcap = h / cap;
         let mut change = 0.0f64;
         for i in 0..self.n {
             let ti = t[i];
@@ -1391,11 +1093,7 @@ impl CompiledModel {
                     flow -= (ti - t[j as usize]) * g_lat;
                 }
             }
-            let nv = if FAST {
-                ti + flow * hcap
-            } else {
-                ti + h * flow / cap
-            };
+            let nv = ti + h * flow / cap;
             next[i] = nv;
             if TRACK {
                 change = change.max((nv - prev[i]).abs());
@@ -1417,9 +1115,8 @@ impl CompiledModel {
     /// Widening them into a separate prefix pass was tried and
     /// **regressed** `steady/stencil/32x32` by ~30% (the extra buffer
     /// traffic is pure overhead; see docs/KERNEL_OPTIMIZATION_GUIDE.md,
-    /// "rejected attempts"). `FAST` multiplies by the precomputed
-    /// reciprocal denominator, which genuinely shortens the chain.
-    fn gs_sweep_stencil<const FAST: bool>(&self, t: &mut [f64], power: &[f64]) -> f64 {
+    /// "rejected attempts").
+    fn gs_sweep_stencil(&self, t: &mut [f64], power: &[f64]) -> f64 {
         let (rows, cols) = (self.rows, self.cols);
         let (g_vert, g_lat, amb) = (self.g_vert, self.g_lat, self.ambient);
         let mut max_delta: f64 = 0.0;
@@ -1428,12 +1125,12 @@ impl CompiledModel {
             let down = r + 1 < rows;
             let base = r * cols;
             if cols == 1 {
-                max_delta = max_delta.max(self.gs_cell::<FAST>(
+                max_delta = max_delta.max(self.gs_cell(
                     t, power, base, cols, up, down, false, false, g_vert, g_lat, amb,
                 ));
                 continue;
             }
-            max_delta = max_delta.max(self.gs_cell::<FAST>(
+            max_delta = max_delta.max(self.gs_cell(
                 t, power, base, cols, up, down, false, true, g_vert, g_lat, amb,
             ));
             if up && down {
@@ -1446,33 +1143,27 @@ impl CompiledModel {
                 let down_row = &tail[..cols];
                 let p = &power[base..base + cols];
                 let den_row = &self.gs_den[base..base + cols];
-                let rden_row = &self.gs_rden[base..base + cols];
                 for c in 1..cols - 1 {
                     let mut num = p[c] + amb * g_vert;
                     num += up_row[c] * g_lat;
                     num += down_row[c] * g_lat;
                     num += row[c - 1] * g_lat;
                     num += row[c + 1] * g_lat;
-                    let new = if FAST {
-                        num * rden_row[c]
-                    } else {
-                        num / den_row[c]
-                    };
+                    let new = num / den_row[c];
                     max_delta = max_delta.max((new - row[c]).abs());
                     row[c] = new;
                 }
             } else {
                 #[allow(clippy::needless_range_loop)]
                 for i in base + 1..base + cols - 1 {
-                    max_delta = max_delta.max(self.gs_cell::<FAST>(
-                        t, power, i, cols, up, down, true, true, g_vert, g_lat, amb,
-                    ));
+                    max_delta = max_delta.max(
+                        self.gs_cell(t, power, i, cols, up, down, true, true, g_vert, g_lat, amb),
+                    );
                 }
             }
             let i = base + cols - 1;
-            max_delta = max_delta.max(
-                self.gs_cell::<FAST>(t, power, i, cols, up, down, true, false, g_vert, g_lat, amb),
-            );
+            max_delta = max_delta
+                .max(self.gs_cell(t, power, i, cols, up, down, true, false, g_vert, g_lat, amb));
         }
         max_delta
     }
@@ -1483,7 +1174,7 @@ impl CompiledModel {
     /// [`gs_sweep_stencil`](CompiledModel::gs_sweep_stencil).
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn gs_cell<const FAST: bool>(
+    fn gs_cell(
         &self,
         t: &mut [f64],
         power: &[f64],
@@ -1510,20 +1201,15 @@ impl CompiledModel {
         if right {
             num += t[i + 1] * g_lat;
         }
-        let new = if FAST {
-            num * self.gs_rden[i]
-        } else {
-            num / self.gs_den[i]
-        };
+        let new = num / self.gs_den[i];
         let delta = (new - t[i]).abs();
         t[i] = new;
         delta
     }
 
     /// One Gauss–Seidel sweep via the generic CSR adjacency (per-edge
-    /// conductances when the plan is weighted). `FAST` multiplies by
-    /// the precomputed reciprocal denominator instead of dividing.
-    fn gs_sweep_csr<const FAST: bool>(&self, t: &mut [f64], power: &[f64]) -> f64 {
+    /// conductances when the plan is weighted).
+    fn gs_sweep_csr(&self, t: &mut [f64], power: &[f64]) -> f64 {
         let (g_vert, g_lat, amb) = (self.g_vert, self.g_lat, self.ambient);
         let weighted = !self.edge_g.is_empty();
         let mut max_delta: f64 = 0.0;
@@ -1539,11 +1225,7 @@ impl CompiledModel {
                     num += t[j as usize] * g_lat;
                 }
             }
-            let new = if FAST {
-                num * self.gs_rden[i]
-            } else {
-                num / self.gs_den[i]
-            };
+            let new = num / self.gs_den[i];
             max_delta = max_delta.max((new - t[i]).abs());
             t[i] = new;
         }
@@ -1567,10 +1249,9 @@ struct LaneCtx {
     gr_last: W8,
     /// Ambient splat.
     amb: W8,
-    /// `h` under Exact (the update is `h·flow/cap`), `h/cap` under
-    /// Fast (the update is `flow·(h/cap)`).
-    step: W8,
-    /// `cap` splat (read only by the Exact update).
+    /// Sub-step size splat (the update is `h·flow/cap`).
+    h: W8,
+    /// `cap` splat.
     cap: W8,
     /// Leakage `per_cell` splat.
     pc: W8,
@@ -1582,32 +1263,25 @@ struct LaneCtx {
     one: W8,
     /// `+0.0` splat (leak clamp + change accumulator seed).
     zero: W8,
-    /// Scalar `h/cap` for the fast-mode tail cells.
-    hcap: f64,
 }
 
 impl LaneCtx {
     #[inline]
-    fn new(m: &CompiledModel, leak: &LeakageParams, h: f64, fast: bool) -> LaneCtx {
+    fn new(m: &CompiledModel, leak: &LeakageParams, h: f64) -> LaneCtx {
         let l = &m.lanes;
-        // The scalar divide (and its lane broadcast) is paid only by
-        // the reassociation-permitting fast mode; the exact update
-        // divides by `cap` inside the kernel instead.
-        let hcap = if fast { h / m.cap } else { h };
         LaneCtx {
             gv: l.gv,
             g: l.g,
             gl_first: l.gl_first,
             gr_last: l.gr_last,
             amb: l.amb,
-            step: W8::splat(if fast { hcap } else { h }),
+            h: W8::splat(h),
             cap: l.cap,
             pc: W8::splat(leak.per_cell),
             co: W8::splat(leak.temp_coeff),
             tr: W8::splat(leak.reference_temp),
             one: l.one,
             zero: l.zero,
-            hcap,
         }
     }
 }
@@ -1726,37 +1400,6 @@ mod tests {
     }
 
     #[test]
-    fn leaky_step_bit_identical_to_add_leakage_then_step() {
-        use crate::power::PowerModel;
-        let pm = PowerModel::default();
-        let lp = pm.leakage_params();
-        for (rows, cols) in [(1, 1), (1, 6), (4, 4), (8, 8)] {
-            let m = model(rows, cols);
-            let n = rows * cols;
-            let sparse = hot_power(n);
-            for kernel in [KernelKind::Stencil, KernelKind::Csr] {
-                let c = CompiledModel::with_kernel(&m, kernel);
-                // Both single-sub-step (fused) and sub-stepped (frozen
-                // leakage) regimes.
-                for dt in [2e-6, 5e-3] {
-                    let mut fused = m.ambient_state();
-                    let mut reference = m.ambient_state();
-                    let mut scratch = StepScratch::new();
-                    for _ in 0..4 {
-                        c.step_leaky_into(&mut fused, &sparse, dt, &lp, &mut scratch);
-                        let mut dense = sparse.clone();
-                        pm.add_leakage(&mut dense, &reference);
-                        m.step(&mut reference, &dense, dt);
-                    }
-                    let f: Vec<u64> = fused.temps().iter().map(|t| t.to_bits()).collect();
-                    let r: Vec<u64> = reference.temps().iter().map(|t| t.to_bits()).collect();
-                    assert_eq!(f, r, "{rows}x{cols} {kernel:?} dt={dt}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn sparse_step_bit_identical_to_dense_scatter() {
         use crate::power::PowerModel;
         let pm = PowerModel::default();
@@ -1789,6 +1432,7 @@ mod tests {
                                 &sched,
                                 leaky.then_some(&lp),
                                 &mut scratch,
+                                None,
                             );
                             if leaky {
                                 let mut with_leak = dense.clone();
@@ -1814,17 +1458,31 @@ mod tests {
         let zero = c.schedule(0.0);
         let mut s = c.ambient_state();
         let before = s.clone();
-        c.step_sparse_into(&mut s, &[(0, 1e-3)], &zero, None, &mut StepScratch::new());
+        c.step_sparse_into(
+            &mut s,
+            &[(0, 1e-3)],
+            &zero,
+            None,
+            &mut StepScratch::new(),
+            None,
+        );
         assert_eq!(s.temps(), before.temps(), "zero dt is a no-op");
 
-        // Scheduled and unscheduled stepping agree bit for bit.
+        // Scheduled (sparse) and unscheduled (dense) stepping agree bit
+        // for bit.
         let power = hot_power(16);
+        let deposits: Vec<(u32, f64)> = power
+            .iter()
+            .enumerate()
+            .filter(|(_, &p)| p > 0.0)
+            .map(|(i, &p)| (i as u32, p))
+            .collect();
         for dt in [1e-6, 4e-4, 2e-3] {
             let sched = c.schedule(dt);
             let mut a = c.ambient_state();
             let mut b = c.ambient_state();
             let mut scratch = StepScratch::new();
-            c.step_scheduled_into(&mut a, &power, &sched, &mut scratch);
+            c.step_sparse_into(&mut a, &deposits, &sched, None, &mut scratch, None);
             c.step_into(&mut b, &power, dt, &mut scratch);
             assert_eq!(a.temps(), b.temps(), "dt={dt}");
         }
@@ -1898,7 +1556,7 @@ mod tests {
 
     /// A weighted graph that lists the grid's own adjacency with the
     /// uniform lateral conductance must reproduce the grid plan bit for
-    /// bit — transient (dense and sparse), leaky, and steady-state.
+    /// bit — transient (dense, and sparse with leakage) and steady-state.
     #[test]
     fn uniform_weighted_graph_matches_grid_plan() {
         use crate::power::PowerModel;
@@ -1926,12 +1584,10 @@ mod tests {
             w.step_into(&mut a, &power, dt, &mut scratch);
             c.step_into(&mut b, &power, dt, &mut scratch);
             assert_eq!(bits(&a), bits(&b), "dense dt={dt}");
-            w.step_leaky_into(&mut a, &power, dt, &lp, &mut scratch);
-            c.step_leaky_into(&mut b, &power, dt, &lp, &mut scratch);
-            assert_eq!(bits(&a), bits(&b), "leaky dt={dt}");
             let deposits = [(0u32, 1e-3), (5u32, 0.4e-3)];
-            w.step_sparse_into(&mut a, &deposits, &w.schedule(dt), Some(&lp), &mut scratch);
-            c.step_sparse_into(&mut b, &deposits, &c.schedule(dt), Some(&lp), &mut scratch);
+            let (sw, sc) = (w.schedule(dt), c.schedule(dt));
+            w.step_sparse_into(&mut a, &deposits, &sw, Some(&lp), &mut scratch, None);
+            c.step_sparse_into(&mut b, &deposits, &sc, Some(&lp), &mut scratch, None);
             assert_eq!(bits(&a), bits(&b), "sparse dt={dt}");
         }
         assert_eq!(bits(&w.steady_state(&power)), bits(&c.steady_state(&power)));

@@ -3,7 +3,6 @@
 
 use crate::floorplan::Floorplan;
 use crate::lanes::{LANES, W8};
-use serde::{Deserialize, Serialize};
 
 /// Temperatures (Kelvin) of every floorplan cell at one point in time.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.peak(), 330.0);
 /// assert!(s.mean() > 318.0);
 /// ```
-#[derive(PartialEq, Debug, Serialize, Deserialize)]
+#[derive(PartialEq, Debug)]
 pub struct ThermalState {
     temps: Vec<f64>,
 }
@@ -325,7 +324,7 @@ impl ThermalState {
 
 /// Summary statistics of one thermal map — the row format of every
 /// experiment table.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct MapStats {
     /// Hottest cell, K.
     pub peak: f64,

@@ -67,8 +67,8 @@ pub mod prelude {
     pub use tadfa_core::{
         AnalysisGrid, BatchOptions, CacheStats, Convergence, CriticalConfig, CriticalSet, Engine,
         MergeRule, ModuleReport, PlacementPrior, PolicyFactory, PredictiveConfig, PredictiveDfa,
-        Session, SessionBuilder, SessionCore, SolveCache, SolverMode, SweepCell, SweepConfig,
-        TadfaError, ThermalDfa, ThermalDfaConfig, ThermalReport, ThermalSummary,
+        Session, SessionBuilder, SessionCore, SolveCache, SweepCell, SweepConfig, TadfaError,
+        ThermalDfa, ThermalDfaConfig, ThermalReport, ThermalSummary,
     };
     pub use tadfa_dataflow::{DefUse, Liveness};
     pub use tadfa_ir::{Cfg, Function, FunctionBuilder, Opcode, PReg, VReg, Verifier};
