@@ -6,7 +6,8 @@
 //! `serde_json` this is a small recursive-descent parser over the JSON
 //! grammar (objects, arrays, strings with the standard escapes,
 //! numbers, booleans, null). Object member order is preserved — report
-//! diffs stay byte-stable.
+//! diffs stay byte-stable. Nesting is capped at [`MAX_DEPTH`], so hostile
+//! input gets a [`JsonError`] instead of overflowing the stack.
 
 use std::fmt;
 
@@ -123,16 +124,23 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so the cap bounds its stack use; the
+/// deepest file this workspace writes nests 3 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] with the byte offset of the first problem.
+/// Returns a [`JsonError`] with the byte offset of the first problem,
+/// including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(src: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -146,6 +154,8 @@ pub fn parse(src: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -177,8 +187,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -186,6 +196,21 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -384,6 +409,18 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let e = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.message.contains("nesting"), "{e}");
+        assert_eq!(e.offset, MAX_DEPTH);
+        // Far past any stack: unclosed arrays and objects alike.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -387,7 +387,15 @@ fn parse_toml_value(text: &str) -> Result<SpecValue, SpecError> {
         let mut items = Vec::new();
         if !inner.is_empty() {
             for item in split_top_level(inner) {
-                items.push(parse_toml_value(item.trim())?);
+                // Items are scalars, so this recursion is one level deep
+                // however many brackets the text opens.
+                let item = item.trim();
+                if item.starts_with('[') {
+                    return Err(SpecError::new(format!(
+                        "nested array in {text}: array items must be strings, numbers or booleans"
+                    )));
+                }
+                items.push(parse_toml_value(item)?);
             }
         }
         return Ok(SpecValue::List(items));
@@ -1039,6 +1047,10 @@ mod tests {
             "duplicate section"
         );
         assert!(parse_toml("x = 1\nx = 2\n").is_err(), "duplicate key");
+        let e = parse_toml("x = [[1], 2]\n").unwrap_err();
+        assert!(e.message.contains("nested array"), "{}", e.message);
+        let deep = format!("x = {}{}\n", "[".repeat(100_000), "]".repeat(100_000));
+        assert!(parse_toml(&deep).is_err(), "no recursion per bracket");
     }
 
     #[test]

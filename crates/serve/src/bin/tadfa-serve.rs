@@ -5,15 +5,14 @@
 //! `analyze` / `analyze-module` / `stats` requests over the
 //! JSON-lines protocol until
 //! EOF or a `shutdown` request. Pipe mode (stdin/stdout, the default)
-//! is what CI and `tadfa-load --spawn` drive; `--listen` serves TCP.
+//! is what CI and `tadfa-load --spawn` drive; `--listen` serves TCP
+//! with one blocking thread per open connection.
 //!
 //! ```text
 //! tadfa-serve [--scenarios <dir>] [--pipe | --listen <addr:port>]
 //!             [--queue-capacity N] [--service-workers N] [--engine-workers N]
 //!             [--cache-dir <dir>] [--warm-golden <dir>] [--shed-after-ms N]
-//!             [--reactor-shards N] [--idle-sleep-us N]
-//!             [--max-line-bytes N] [--stall-timeout-ms N]
-//!             [--compact-cache]
+//!             [--max-line-bytes N] [--stall-timeout-ms N] [--compact-cache]
 //! ```
 //!
 //! `--cache-dir` turns on the persistent solve-cache tier (preload at
@@ -21,10 +20,12 @@
 //! scenario once at startup and fingerprint-verifies it against its
 //! committed golden; `--shed-after-ms` is the queueing-latency SLO
 //! beyond which waiting requests are shed instead of computed;
-//! `--idle-sleep-us` caps the reactor shards' idle backoff;
-//! `--compact-cache` (with `--cache-dir`) compacts every scenario's
-//! segment directory — dropping duplicate-key records accumulated
-//! across process lifetimes — and exits instead of serving.
+//! `--max-line-bytes` caps a request line on every front end;
+//! `--stall-timeout-ms` reaps a TCP connection whose partial line
+//! stalls that long; `--compact-cache` (with `--cache-dir`) compacts
+//! every scenario's segment directory — dropping duplicate-key records
+//! accumulated across process lifetimes — and exits instead of
+//! serving.
 //!
 //! Exit codes: `0` clean shutdown, `2` usage or configuration error.
 //! All diagnostics go to stderr — stdout is the protocol channel.
@@ -40,7 +41,6 @@ USAGE:
     tadfa-serve [--scenarios <dir>] [--pipe | --listen <addr:port>]
                 [--queue-capacity N] [--service-workers N] [--engine-workers N]
                 [--cache-dir <dir>] [--warm-golden <dir>] [--shed-after-ms N]
-                [--reactor-shards N] [--idle-sleep-us N]
                 [--max-line-bytes N] [--stall-timeout-ms N] [--compact-cache]
 
 Loads every scenarios/*.toml|json spec once, then serves JSON-lines
@@ -48,19 +48,20 @@ requests ({\"id\": 1, \"op\": \"run-scenario\", \"scenario\": \"<stem>\"},
 analyze, analyze-module, stats, reload, ping, shutdown) against warm
 engines. Pipe mode (the
 default) speaks the protocol on stdin/stdout; --listen serves TCP
-through reactor shards that scale to thousands of connections.
+with one thread per open connection (tested with 1-16 clients).
 Requests beyond --queue-capacity are rejected with a queue-full error,
 never buffered unboundedly; requests older than --shed-after-ms are
 shed with an slo-shed error instead of computed late. --cache-dir
 persists every solve-cache entry to checksummed segment files and
 preloads them at the next start; --warm-golden <dir> runs each
 scenario once at startup and refuses to serve on any fingerprint
-mismatch with the committed goldens. --idle-sleep-us caps the reactor
-shards' idle-sleep backoff (lower = snappier wake after a lull,
-higher = less idle CPU). --compact-cache rewrites every scenario's
-segment directory under --cache-dir dropping duplicate-key records,
-then exits without serving (safe: a crash mid-compaction never loses
-pre-compaction data).";
+mismatch with the committed goldens. A request line longer than
+--max-line-bytes (default 1 MiB) is answered request-too-large and
+ends the session; a TCP connection whose partial line sits silent for
+--stall-timeout-ms (default 10000) is closed. --compact-cache
+rewrites every scenario's segment directory under --cache-dir
+dropping duplicate-key records, then exits without serving (safe: a
+crash mid-compaction never loses pre-compaction data).";
 
 fn main() -> ExitCode {
     let mut cfg = ServerConfig::default();
@@ -108,14 +109,6 @@ fn main() -> ExitCode {
             },
             "--shed-after-ms" => match usize_arg(arg, it.next()) {
                 Ok(v) => cfg.shed_after_ms = Some(v as u64),
-                Err(e) => return usage_error(&e),
-            },
-            "--reactor-shards" => match usize_arg(arg, it.next()) {
-                Ok(v) => cfg.reactor_shards = v,
-                Err(e) => return usage_error(&e),
-            },
-            "--idle-sleep-us" => match usize_arg(arg, it.next()) {
-                Ok(v) => cfg.idle_sleep_us = v as u64,
                 Err(e) => return usage_error(&e),
             },
             "--compact-cache" => compact = true,

@@ -7,8 +7,8 @@
 //! pool must stop receiving traffic *before* clients notice. The
 //! health loop probes every worker on a fixed cadence — a `ping`
 //! normally, a `stats` request every
-//! [`HealthPolicy::stats_every`]-th probe (a worker can answer pings
-//! from its reactor while its service workers are wedged; a stats
+//! [`HealthPolicy::stats_every`]-th probe (a worker's connection
+//! threads answer pings inline while its service workers are wedged; a stats
 //! round trip proves the whole request path, and a stats response that
 //! stops arriving is the staleness signal) — each over a fresh
 //! connection with a hard [`HealthPolicy::timeout_ms`] deadline.
@@ -39,8 +39,8 @@ pub struct HealthPolicy {
     /// [`HealthState::Dead`] (below that it is merely degraded).
     pub dead_after: u32,
     /// Every Nth probe sends `stats` instead of `ping`, exercising the
-    /// full admission→worker→response path instead of the reactor's
-    /// inline pong. `0` disables stats probes.
+    /// full admission→worker→response path instead of the connection
+    /// thread's inline pong. `0` disables stats probes.
     pub stats_every: u32,
 }
 

@@ -5,7 +5,9 @@
 //! contain a raw newline (the [`json::escape`] writer guarantees this
 //! for everything the service emits). Responses carry the request's
 //! `id` and may arrive **out of order** when the service processes
-//! requests concurrently; clients correlate by id.
+//! requests concurrently; clients correlate by id. Every front end —
+//! pipe mode, TCP connections and the fleet router — reads request
+//! lines through the one bounded reader, [`for_each_line`].
 //!
 //! # Requests
 //!
@@ -37,6 +39,7 @@
 //! where `<kind>` is one of the [`kind`] constants; `id` is `null`
 //! only when the request line was too malformed to carry one.
 
+use std::io::{ErrorKind, Read};
 use tadfa_sched::json::{self, escape, number, JsonValue};
 use tadfa_sched::{hex_fingerprint, ScenarioResult};
 
@@ -241,6 +244,108 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
     Ok(Request { id, op })
 }
 
+/// Why [`for_each_line`] stopped reading.
+#[derive(Debug)]
+pub enum LinesEnd {
+    /// The stream ended; every line, a final unterminated one
+    /// included, was delivered.
+    Eof,
+    /// The line callback asked to stop.
+    Stopped,
+    /// A line grew past the cap, whether or not its newline had
+    /// arrived.
+    TooLarge,
+    /// A read timed out with a partial line buffered (the slow-loris
+    /// shape).
+    Stalled,
+    /// A read timed out with nothing buffered: an idle keep-alive.
+    /// Nothing is lost, so calling again resumes the stream.
+    Idle,
+    /// A read failed.
+    Io(std::io::Error),
+}
+
+/// Bytes asked of the reader per `read` call.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// Reads newline-framed request lines from `r` and hands each to
+/// `on_line` until the stream ends or `on_line` returns `true`. This
+/// is the one request framing every front end shares:
+///
+/// * a line longer than `max_line` bytes ends the stream as
+///   [`LinesEnd::TooLarge`], whether or not its newline has arrived,
+///   so at most `max_line` plus one read chunk is ever buffered;
+/// * a final line without a newline is delivered at end of stream;
+/// * lines are decoded with `from_utf8_lossy`, trimmed, and skipped
+///   when blank;
+/// * a read timeout (a reader with `set_read_timeout`) ends the call
+///   as [`LinesEnd::Stalled`] with a partial line buffered and as
+///   [`LinesEnd::Idle`] without one.
+///
+/// ```
+/// use tadfa_serve::protocol::{for_each_line, LinesEnd};
+///
+/// let mut lines = Vec::new();
+/// let end = for_each_line(&b"a\n\n b \nc"[..], 16, |l| {
+///     lines.push(l.to_string());
+///     false
+/// });
+/// assert!(matches!(end, LinesEnd::Eof));
+/// assert_eq!(lines, ["a", "b", "c"]);
+/// ```
+pub fn for_each_line(
+    mut r: impl Read,
+    max_line: usize,
+    mut on_line: impl FnMut(&str) -> bool,
+) -> LinesEnd {
+    let mut deliver = |bytes: &[u8]| {
+        let line = String::from_utf8_lossy(bytes);
+        let line = line.trim();
+        !line.is_empty() && on_line(line)
+    };
+    let mut buf: Vec<u8> = Vec::new();
+    let mut chunk = vec![0u8; READ_CHUNK];
+    loop {
+        // The buffered partial line holds no newline; scan only new bytes.
+        let mut from = buf.len();
+        match r.read(&mut chunk) {
+            Ok(0) => {
+                return if deliver(&buf) {
+                    LinesEnd::Stopped
+                } else {
+                    LinesEnd::Eof
+                };
+            }
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return if buf.is_empty() {
+                    LinesEnd::Idle
+                } else {
+                    LinesEnd::Stalled
+                };
+            }
+            Err(e) => return LinesEnd::Io(e),
+        }
+        let mut start = 0;
+        while let Some(i) = buf[from..].iter().position(|&b| b == b'\n') {
+            let end = from + i;
+            if end - start > max_line {
+                return LinesEnd::TooLarge;
+            }
+            if deliver(&buf[start..end]) {
+                return LinesEnd::Stopped;
+            }
+            start = end + 1;
+            from = start;
+        }
+        buf.drain(..start);
+        if buf.len() > max_line {
+            return LinesEnd::TooLarge;
+        }
+    }
+}
+
 /// The success response for `run-scenario`: the scenario fingerprint
 /// (byte-for-byte the value the offline golden reports record) plus
 /// the headline die numbers.
@@ -388,6 +493,119 @@ pub fn parse_response(line: &str) -> Result<ParsedResponse, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
+    use std::io::Read;
+
+    /// A reader replaying scripted reads: each step is some bytes or an
+    /// error kind; an exhausted script reads as EOF.
+    struct Script(VecDeque<Result<Vec<u8>, ErrorKind>>);
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Err(kind)) => Err(kind.into()),
+                Some(Ok(mut bytes)) => {
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.0.push_front(Ok(bytes.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    fn script(steps: Vec<Result<&[u8], ErrorKind>>) -> Script {
+        Script(steps.into_iter().map(|s| s.map(<[u8]>::to_vec)).collect())
+    }
+
+    /// Every line [`for_each_line`] delivers, and how it ended.
+    fn collect(r: impl Read, max_line: usize) -> (Vec<String>, LinesEnd) {
+        let mut lines = Vec::new();
+        let end = for_each_line(r, max_line, |l| {
+            lines.push(l.to_string());
+            l == "stop"
+        });
+        (lines, end)
+    }
+
+    #[test]
+    fn line_reader_frames_trims_skips_and_decodes_lossily() {
+        let input: &[u8] = b"one\r\n\n  \n two \n\xffbad\nlast";
+        let (lines, end) = collect(input, 64);
+        assert_eq!(lines, ["one", "two", "\u{fffd}bad", "last"]);
+        assert!(matches!(end, LinesEnd::Eof));
+        // Framing does not depend on how the bytes arrive.
+        let bytewise = script(input.chunks(1).map(Ok).collect());
+        assert_eq!(collect(bytewise, 64).0, lines);
+        // `on_line` returning true stops at once.
+        let (lines, end) = collect(&b"a\nstop\nb\n"[..], 64);
+        assert_eq!((lines.len(), matches!(end, LinesEnd::Stopped)), (2, true));
+        let (_, end) = collect(&b"a\nstop"[..], 64);
+        assert!(matches!(end, LinesEnd::Stopped), "final line can stop too");
+    }
+
+    #[test]
+    fn line_reader_caps_lines_with_or_without_a_newline() {
+        let (lines, end) = collect(&b"12345678\n123456789\nnext\n"[..], 8);
+        assert_eq!(lines, ["12345678"], "a line of exactly the cap passes");
+        assert!(matches!(end, LinesEnd::TooLarge));
+        let (lines, end) = collect(script(vec![Ok(b"ok\n123456789")]), 8);
+        assert_eq!(lines, ["ok"]);
+        assert!(matches!(end, LinesEnd::TooLarge), "no newline needed");
+    }
+
+    #[test]
+    fn line_reader_stops_an_endless_line_after_about_the_cap() {
+        /// Counts the bytes handed out.
+        struct Counted<R>(R, usize);
+        impl<R: Read> Read for Counted<R> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.0.read(buf)?;
+                self.1 += n;
+                Ok(n)
+            }
+        }
+        let max_line = 1 << 20;
+        let mut endless = Counted(std::io::repeat(b'x'), 0);
+        let end = for_each_line(&mut endless, max_line, |_| false);
+        assert!(matches!(end, LinesEnd::TooLarge));
+        assert!(
+            (max_line..=max_line + READ_CHUNK).contains(&endless.1),
+            "read {} bytes for a {max_line}-byte cap",
+            endless.1
+        );
+    }
+
+    #[test]
+    fn line_reader_tells_a_stall_from_an_idle_keep_alive() {
+        let (lines, end) = collect(
+            script(vec![Ok(b"a\n{\"id"), Err(ErrorKind::WouldBlock)]),
+            64,
+        );
+        assert_eq!(lines, ["a"]);
+        assert!(
+            matches!(end, LinesEnd::Stalled),
+            "partial line, silent socket"
+        );
+        let mut r = script(vec![
+            Ok(b"a\n"),
+            Err(ErrorKind::TimedOut),
+            Err(ErrorKind::Interrupted),
+            Ok(b"b\n"),
+        ]);
+        let (lines, end) = collect(&mut r, 64);
+        assert_eq!(lines, ["a"]);
+        assert!(matches!(end, LinesEnd::Idle), "nothing buffered");
+        // Nothing was lost: the next call resumes the stream.
+        let (lines, end) = collect(&mut r, 64);
+        assert_eq!(lines, ["b"]);
+        assert!(matches!(end, LinesEnd::Eof));
+        let (_, end) = collect(script(vec![Err(ErrorKind::ConnectionReset)]), 64);
+        assert!(matches!(end, LinesEnd::Io(e) if e.kind() == ErrorKind::ConnectionReset));
+    }
 
     #[test]
     fn requests_parse_with_overrides_and_defaults() {

@@ -32,7 +32,7 @@
 
 use crate::fleet::{FleetState, WorkerSlot};
 use crate::latency::LatencyHistogram;
-use crate::protocol::{self, kind, Op, Request};
+use crate::protocol::{self, kind, LinesEnd, Op, Request};
 use crate::queue::{AdmissionQueue, RejectReason};
 use crate::service::{sink, write_line, Sink};
 use std::collections::BTreeMap;
@@ -236,95 +236,90 @@ impl Router {
         Ok(())
     }
 
-    /// One client connection: parse lines, answer router-local ops
-    /// inline, enqueue the rest for the forwarders. Responses may be
-    /// written out of order by forwarder threads — that is the
-    /// protocol's contract, and the per-sink lock keeps lines atomic.
+    /// One client connection: read lines through the shared bounded
+    /// reader and route each. Responses may be written out of order by
+    /// forwarder threads — that is the protocol's contract, and the
+    /// per-sink lock keeps lines atomic.
     fn handle_conn(self: &Arc<Router>, stream: TcpStream) {
         let out = match stream.try_clone() {
             Ok(w) => sink(w),
             Err(_) => return,
         };
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => return,
-                Ok(_) => {}
-            }
-            if line.len() > self.policy.max_line_bytes {
+        let max_line = self.policy.max_line_bytes;
+        if let LinesEnd::TooLarge =
+            protocol::for_each_line(&stream, max_line, |line| self.handle_line(line, &out))
+        {
+            write_line(
+                &out,
+                &protocol::error_response(
+                    None,
+                    kind::REQUEST_TOO_LARGE,
+                    &format!("request line exceeds {max_line} bytes"),
+                ),
+            );
+        }
+    }
+
+    /// Routes one request line: answer router-local ops inline, enqueue
+    /// the rest for the forwarders. Returns `true` on `shutdown`.
+    fn handle_line(&self, line: &str, out: &Sink) -> bool {
+        let request = match protocol::parse_request(line) {
+            Ok(r) => r,
+            Err(e) => {
                 write_line(
-                    &out,
-                    &protocol::error_response(
-                        None,
-                        kind::REQUEST_TOO_LARGE,
-                        &format!("request line exceeds {} bytes", self.policy.max_line_bytes),
-                    ),
+                    out,
+                    &protocol::error_response(e.id, kind::BAD_REQUEST, &e.message),
                 );
-                return;
+                return false;
             }
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
+        };
+        match &request.op {
+            Op::Ping => write_line(out, &protocol::pong_response(request.id)),
+            Op::Stats => {
+                let response = self.fleet_stats(request.id);
+                write_line(out, &response);
             }
-            let request = match protocol::parse_request(trimmed) {
-                Ok(r) => r,
-                Err(e) => {
-                    write_line(
-                        &out,
-                        &protocol::error_response(e.id, kind::BAD_REQUEST, &e.message),
-                    );
-                    continue;
-                }
-            };
-            match &request.op {
-                Op::Ping => write_line(&out, &protocol::pong_response(request.id)),
-                Op::Stats => {
-                    let response = self.fleet_stats(request.id);
-                    write_line(&out, &response);
-                }
-                Op::Reload => {
-                    let response = self.broadcast_reload(request.id);
-                    write_line(&out, &response);
-                }
-                Op::Shutdown => {
-                    write_line(&out, &protocol::shutdown_response(request.id));
-                    self.state.request_shutdown();
-                    self.queue.close();
-                    return;
-                }
-                Op::RunScenario { .. } | Op::Analyze { .. } | Op::AnalyzeModule { .. } => {
-                    let job = RouterJob {
-                        line: trimmed.to_string(),
-                        request,
-                        admitted: Instant::now(),
-                        out: Arc::clone(&out),
+            Op::Reload => {
+                let response = self.broadcast_reload(request.id);
+                write_line(out, &response);
+            }
+            Op::Shutdown => {
+                write_line(out, &protocol::shutdown_response(request.id));
+                self.state.request_shutdown();
+                self.queue.close();
+                return true;
+            }
+            Op::RunScenario { .. } | Op::Analyze { .. } | Op::AnalyzeModule { .. } => {
+                let job = RouterJob {
+                    line: line.to_string(),
+                    request,
+                    admitted: Instant::now(),
+                    out: Arc::clone(out),
+                };
+                if let Err((job, reason)) = self.queue.try_push(job) {
+                    let (error_kind, message) = match reason {
+                        RejectReason::Full => {
+                            self.shed.fetch_add(1, Ordering::Relaxed);
+                            (
+                                kind::FLEET_OVERLOADED,
+                                format!(
+                                    "router queue full (capacity {})",
+                                    self.policy.queue_capacity
+                                ),
+                            )
+                        }
+                        RejectReason::Closed => {
+                            (kind::SHUTTING_DOWN, "fleet is shutting down".to_string())
+                        }
                     };
-                    if let Err((job, reason)) = self.queue.try_push(job) {
-                        let (error_kind, message) = match reason {
-                            RejectReason::Full => {
-                                self.shed.fetch_add(1, Ordering::Relaxed);
-                                (
-                                    kind::FLEET_OVERLOADED,
-                                    format!(
-                                        "router queue full (capacity {})",
-                                        self.policy.queue_capacity
-                                    ),
-                                )
-                            }
-                            RejectReason::Closed => {
-                                (kind::SHUTTING_DOWN, "fleet is shutting down".to_string())
-                            }
-                        };
-                        write_line(
-                            &job.out,
-                            &protocol::error_response(Some(job.request.id), error_kind, &message),
-                        );
-                    }
+                    write_line(
+                        &job.out,
+                        &protocol::error_response(Some(job.request.id), error_kind, &message),
+                    );
                 }
             }
         }
+        false
     }
 
     /// Forwards one job to its shard with deadline-aware bounded retry

@@ -12,28 +12,34 @@
 //! # Request flow
 //!
 //! ```text
-//! acceptor ──round-robin──► reactor shard (nonblocking reads, N conns)
-//!                                │ parse, ping/shutdown inline
-//!                                ▼
-//!                          AdmissionQueue ──pop──► service worker
-//!                             │ (bounded)            │ SLO check
-//!                             │ full → queue-full    │ handle()
-//!                             └── error, never block └──► sink
+//! acceptor ──spawn──► connection thread (blocking reads, one per conn)
+//!                          │ protocol::for_each_line → handle_line
+//!                          │ parse, ping/shutdown inline
+//!                          ▼
+//!                    AdmissionQueue ──pop──► service worker
+//!                       │ (bounded)            │ SLO check
+//!                       │ full → queue-full    │ handle()
+//!                       └── error, never block └──► sink
 //! ```
 //!
-//! Connection I/O runs on a small fixed set of **reactor shards**
-//! ([`Server::serve_listener`]): each shard owns its connections'
-//! nonblocking sockets and per-connection line buffers, so thousands
-//! of idle or dribbling clients cost buffers, not threads. Reactors
-//! never compute: they parse, answer `ping`/`shutdown` inline, and
-//! either admit the request into the bounded [`AdmissionQueue`] or
-//! answer `queue-full` immediately — overload degrades into clean
-//! rejections, not latency or memory. Abusive input degrades the one
-//! connection, never the shard: a line exceeding
-//! [`ServerConfig::max_line_bytes`] gets `request-too-large` and a
-//! close; a partial line stalled past
-//! [`ServerConfig::stall_timeout_ms`] (the slow-loris shape) gets an
-//! error and a close.
+//! Every front end reads requests through one bounded line reader,
+//! [`protocol::for_each_line`]: pipe mode ([`Server::run_pipe`]), each
+//! TCP connection, and the fleet router. With `--listen`,
+//! [`Server::serve_listener`] gives each accepted connection its own
+//! thread running [`Server::attach`] over blocking reads. The
+//! trade-off: each open connection costs one thread, which is cheap at
+//! the tested 1–16 clients; nothing is tuned for far more.
+//! Connection threads never compute: they parse, answer
+//! `ping`/`shutdown` inline, and either admit the request into the
+//! bounded [`AdmissionQueue`] or answer `queue-full` immediately —
+//! overload degrades into clean rejections, not latency or memory.
+//! Abusive input degrades the one connection, never the service: a
+//! line exceeding [`ServerConfig::max_line_bytes`] gets
+//! `request-too-large` and a close; a partial line stalled past
+//! [`ServerConfig::stall_timeout_ms`] (the slow-loris shape, caught by
+//! the socket's read timeout) gets an error and a close. An idle
+//! connection with no partial line costs a blocked thread and nothing
+//! else.
 //!
 //! Service workers ([`Server::start_workers`]) pop, execute, and write
 //! the response to the request's connection sink (a mutex-serialized
@@ -80,11 +86,11 @@
 
 use crate::latency::LatencyHistogram;
 use crate::persist::SegmentStore;
-use crate::protocol::{self, kind, Op, Request};
+use crate::protocol::{self, kind, LinesEnd, Op, Request};
 use crate::queue::{AdmissionQueue, QueueStats, RejectReason};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{BufRead, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -125,16 +131,6 @@ pub struct ServerConfig {
     /// before the connection is closed as a slow-loris. Idle
     /// connections with no partial line are never reaped.
     pub stall_timeout_ms: u64,
-    /// Reactor shard threads sharing the connection set.
-    pub reactor_shards: usize,
-    /// Cap, in microseconds, on a reactor shard's idle sleep. An idle
-    /// shard backs off exponentially (starting at 50 µs, doubling per
-    /// quiet pass) up to this cap, and snaps back to the floor the
-    /// moment any connection makes progress — so a burst after a lull
-    /// pays at most one cap-length sleep of latency, while a fleet of
-    /// idle workers stops burning a 1 ms-resolution polling loop per
-    /// shard.
-    pub idle_sleep_us: u64,
     /// When set, run every scenario once at startup and verify its
     /// fingerprint against `<dir>/<stem>.json` before serving (also
     /// populates the cache — and, with `cache_dir`, the disk tier).
@@ -152,8 +148,6 @@ impl Default for ServerConfig {
             shed_after_ms: None,
             max_line_bytes: 1 << 20,
             stall_timeout_ms: 10_000,
-            reactor_shards: 2,
-            idle_sleep_us: 1_000,
             warm_golden: None,
         }
     }
@@ -716,13 +710,8 @@ impl Server {
     /// `ping`/`shutdown` inline, admit everything else into the
     /// bounded queue — or answer `queue-full` immediately when no slot
     /// is free. Returns `true` when the line requested shutdown. This
-    /// is the one request path both the pipe reader and the reactor
-    /// shards go through.
+    /// is the one request path pipe mode and TCP connections share.
     fn handle_line(&self, line: &str, out: &Sink) -> bool {
-        let line = line.trim();
-        if line.is_empty() {
-            return false;
-        }
         match protocol::parse_request(line) {
             Err(e) => {
                 write_line(
@@ -775,21 +764,45 @@ impl Server {
         }
     }
 
-    /// Runs one connection's blocking read loop until EOF or
-    /// `shutdown` (the pipe-mode shape; TCP connections go through the
-    /// reactor instead). Returns `true` when the loop ended because
-    /// this connection requested shutdown.
+    /// Runs one connection's request loop until EOF or `shutdown`,
+    /// reading lines through [`protocol::for_each_line`] — the pipe
+    /// mode and every TCP connection's thread. Returns `true` when the
+    /// loop ended because this connection requested shutdown.
+    ///
+    /// A line over [`ServerConfig::max_line_bytes`] is answered
+    /// `request-too-large`, and a partial line stalled past the
+    /// reader's read timeout is answered `bad-request`; either ends the
+    /// loop. A read timeout with no partial line is an idle keep-alive:
+    /// the loop keeps waiting until the server shuts down.
     ///
     /// # Errors
     ///
     /// Propagates read errors from the connection; write errors are
     /// swallowed (a vanished client must not take the service down).
-    pub fn attach(&self, reader: impl BufRead, out: &Sink) -> std::io::Result<bool> {
-        for line in reader.lines() {
-            if self.handle_line(&line?, out) {
-                return Ok(true);
+    pub fn attach(&self, mut reader: impl Read, out: &Sink) -> std::io::Result<bool> {
+        let max_line = self.inner.cfg.max_line_bytes;
+        let (error_kind, message) = loop {
+            match protocol::for_each_line(&mut reader, max_line, |line| self.handle_line(line, out))
+            {
+                LinesEnd::Idle if !self.shutting_down() => {}
+                LinesEnd::Eof | LinesEnd::Idle => return Ok(false),
+                LinesEnd::Stopped => return Ok(true),
+                LinesEnd::Io(e) => return Err(e),
+                LinesEnd::TooLarge => {
+                    break (
+                        kind::REQUEST_TOO_LARGE,
+                        format!("request line exceeds {max_line} bytes; closing connection"),
+                    )
+                }
+                LinesEnd::Stalled => {
+                    break (
+                        kind::BAD_REQUEST,
+                        "partial request line stalled; closing slow connection".to_string(),
+                    )
+                }
             }
-        }
+        };
+        write_line(out, &protocol::error_response(None, error_kind, &message));
         Ok(false)
     }
 
@@ -833,11 +846,11 @@ impl Server {
     }
 
     /// Serves an already-bound listener until a client sends
-    /// `shutdown`: the acceptor hands sockets round-robin to
-    /// [`ServerConfig::reactor_shards`] reactor threads, each owning
-    /// its connections' nonblocking reads and line buffers, all
-    /// feeding the one bounded queue and shared worker pool — idle
-    /// connections cost a buffer, not a thread.
+    /// `shutdown`: each accepted connection gets its own thread running
+    /// [`attach`](Server::attach) over blocking reads, all feeding the
+    /// one bounded queue and shared worker pool. The connection's read
+    /// timeout is [`ServerConfig::stall_timeout_ms`], so a stalled
+    /// partial line is reaped while an idle connection just waits.
     ///
     /// # Errors
     ///
@@ -846,34 +859,14 @@ impl Server {
     pub fn serve_listener(&self, listener: TcpListener) -> std::io::Result<()> {
         listener.set_nonblocking(true)?;
         let workers = self.start_workers(self.inner.cfg.service_workers);
-        let shard_count = self.inner.cfg.reactor_shards.max(1);
-        let injectors: Vec<Arc<Mutex<Vec<TcpStream>>>> = (0..shard_count)
-            .map(|_| Arc::new(Mutex::new(Vec::new())))
-            .collect();
-        let shards: Vec<_> = injectors
-            .iter()
-            .map(|inj| {
-                let server = self.clone();
-                let inj = Arc::clone(inj);
-                std::thread::spawn(move || reactor_shard(server, inj))
-            })
-            .collect();
-
-        let mut next = 0usize;
         let accept_result = loop {
             if self.shutting_down() {
                 break Ok(());
             }
             match listener.accept() {
                 Ok((stream, _)) => {
-                    // Request/response lines are small; Nagle queuing
-                    // them behind a delayed ACK costs ~40ms per hop.
-                    let _ = stream.set_nodelay(true);
-                    injectors[next % shard_count]
-                        .lock()
-                        .expect("injector poisoned")
-                        .push(stream);
-                    next = next.wrapping_add(1);
+                    let server = self.clone();
+                    std::thread::spawn(move || server.serve_conn(&stream));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(5));
@@ -891,16 +884,33 @@ impl Server {
             }
         };
         // Shutdown (or a fatal accept error): stop admitting, let the
-        // backlog drain, and join everything before returning.
+        // backlog drain, and join the workers before returning.
+        // Connection threads end on their own at their next read.
         self.inner.shutdown.store(true, Ordering::Relaxed);
         self.close();
-        for s in shards {
-            let _ = s.join();
-        }
         for w in workers {
             let _ = w.join();
         }
         accept_result
+    }
+
+    /// One TCP connection's thread: blocking reads bounded by the stall
+    /// timeout, writes bounded by [`WRITE_PATIENCE`], then the shared
+    /// request loop. Responses to requests still queued when the loop
+    /// ends go out through the sink's own handle on the socket.
+    fn serve_conn(&self, stream: &TcpStream) {
+        let stall = Duration::from_millis(self.inner.cfg.stall_timeout_ms.max(1));
+        let setup = stream
+            .set_nonblocking(false)
+            // Request/response lines are small; Nagle queuing them
+            // behind a delayed ACK costs ~40ms per hop.
+            .and_then(|()| stream.set_nodelay(true))
+            .and_then(|()| stream.set_read_timeout(Some(stall)))
+            .and_then(|()| stream.set_write_timeout(Some(WRITE_PATIENCE)))
+            .and_then(|()| stream.try_clone());
+        if let Ok(write_half) = setup {
+            let _ = self.attach(stream, &sink(write_half));
+        }
     }
 }
 
@@ -946,245 +956,7 @@ fn build_envs(cfg: &ServerConfig) -> Result<EnvMap, ServeError> {
     Ok(envs)
 }
 
-/// How long a response write may retry `WouldBlock` before the client
-/// is declared stuck and the write abandoned (errors are swallowed at
-/// the sink). Bounds how long one unread-ing client can hold a
-/// service worker.
+/// How long a response write may block before the client is declared
+/// stuck and the write abandoned (errors are swallowed at the sink).
+/// Bounds how long one unread-ing client can hold a service worker.
 const WRITE_PATIENCE: Duration = Duration::from_secs(5);
-
-/// The write half of a reactor connection. The read half runs
-/// nonblocking, and `O_NONBLOCK` is a property of the underlying
-/// socket — shared by every clone of the fd — so writes can hit
-/// `WouldBlock` too; this adapter retries them with bounded patience
-/// so response lines stay whole.
-struct PatientWriter {
-    stream: TcpStream,
-}
-
-impl Write for PatientWriter {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let start = Instant::now();
-        loop {
-            match self.stream.write(buf) {
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if start.elapsed() >= WRITE_PATIENCE {
-                        return Err(e);
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                other => return other,
-            }
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.stream.flush()
-    }
-}
-
-/// What one service pass over a connection concluded.
-enum ConnEvent {
-    /// Bytes moved; poll again soon.
-    Progress,
-    /// Nothing to read; fine for a healthy idle connection.
-    Idle,
-    /// The connection is done (EOF, error, or abuse) — drop it.
-    /// Responses for its already-admitted requests still go out
-    /// through the sink's own socket handle.
-    Close,
-    /// This connection requested shutdown.
-    Shutdown,
-}
-
-/// One reactor-owned connection: the nonblocking read half plus the
-/// partial-line buffer.
-struct Conn {
-    stream: TcpStream,
-    out: Sink,
-    buf: Vec<u8>,
-    last_activity: Instant,
-}
-
-impl Conn {
-    /// Reads whatever is available (bounded per pass for fairness
-    /// across a shard's connections) and processes complete lines.
-    fn service(&mut self, server: &Server, scratch: &mut [u8]) -> ConnEvent {
-        let max_line = server.inner.cfg.max_line_bytes;
-        let mut made_progress = false;
-        let mut read_budget = 16;
-        loop {
-            match self.stream.read(scratch) {
-                Ok(0) => {
-                    // EOF (possibly a half-close: the client shut its
-                    // write side and is waiting to read). Flush any
-                    // final unterminated line, then drop the read
-                    // half; responses still flow through the sink.
-                    return if self.drain_final_line(server, max_line) {
-                        ConnEvent::Shutdown
-                    } else {
-                        ConnEvent::Close
-                    };
-                }
-                Ok(n) => {
-                    self.buf.extend_from_slice(&scratch[..n]);
-                    self.last_activity = Instant::now();
-                    made_progress = true;
-                    match self.process_lines(server, max_line) {
-                        LineOutcome::Shutdown => return ConnEvent::Shutdown,
-                        LineOutcome::TooLarge => {
-                            write_line(
-                                &self.out,
-                                &protocol::error_response(
-                                    None,
-                                    kind::REQUEST_TOO_LARGE,
-                                    &format!(
-                                        "request line exceeds {max_line} bytes; \
-                                         closing connection"
-                                    ),
-                                ),
-                            );
-                            return ConnEvent::Close;
-                        }
-                        LineOutcome::Continue => {}
-                    }
-                    read_budget -= 1;
-                    if read_budget == 0 {
-                        return ConnEvent::Progress;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    return if made_progress {
-                        ConnEvent::Progress
-                    } else {
-                        ConnEvent::Idle
-                    };
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return ConnEvent::Close,
-            }
-        }
-    }
-
-    /// Handles every complete line in the buffer, stopping early on a
-    /// shutdown request or a line over the size cap (the cap applies
-    /// whether or not the newline has arrived yet — a complete
-    /// oversized request is as unwelcome as an unbounded partial one).
-    fn process_lines(&mut self, server: &Server, max_line: usize) -> LineOutcome {
-        loop {
-            match self.buf.iter().position(|&b| b == b'\n') {
-                Some(pos) if pos > max_line => return LineOutcome::TooLarge,
-                Some(pos) => {
-                    let line: Vec<u8> = self.buf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line[..line.len() - 1]);
-                    if server.handle_line(&line, &self.out) {
-                        return LineOutcome::Shutdown;
-                    }
-                }
-                None if self.buf.len() > max_line => return LineOutcome::TooLarge,
-                None => return LineOutcome::Continue,
-            }
-        }
-    }
-
-    /// At EOF, a final line may lack its newline (`printf` clients);
-    /// treat end-of-stream as the terminator, as the blocking reader
-    /// does.
-    fn drain_final_line(&mut self, server: &Server, max_line: usize) -> bool {
-        match self.process_lines(server, max_line) {
-            LineOutcome::Shutdown => return true,
-            LineOutcome::TooLarge => {
-                self.buf.clear();
-                return false;
-            }
-            LineOutcome::Continue => {}
-        }
-        if self.buf.is_empty() {
-            return false;
-        }
-        let rest = std::mem::take(&mut self.buf);
-        server.handle_line(&String::from_utf8_lossy(&rest), &self.out)
-    }
-}
-
-/// What [`Conn::process_lines`] found in the buffer.
-enum LineOutcome {
-    /// All complete lines handled; the remainder (if any) is a
-    /// within-budget partial line.
-    Continue,
-    /// A shutdown request was seen.
-    Shutdown,
-    /// A line exceeded the configured size cap.
-    TooLarge,
-}
-
-/// One reactor shard: adopt injected connections, poll them round the
-/// loop, reap the closed/abusive, sleep only when nothing moved.
-fn reactor_shard(server: Server, injector: Arc<Mutex<Vec<TcpStream>>>) {
-    let stall = Duration::from_millis(server.inner.cfg.stall_timeout_ms.max(1));
-    // Idle backoff: 50 µs floor, doubling per quiet pass, capped by
-    // config, reset to the floor on any progress.
-    const IDLE_FLOOR_US: u64 = 50;
-    let idle_cap_us = server.inner.cfg.idle_sleep_us.max(IDLE_FLOOR_US);
-    let mut idle_us = IDLE_FLOOR_US;
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut scratch = vec![0u8; 16 * 1024];
-    loop {
-        if server.shutting_down() {
-            return;
-        }
-        for stream in injector.lock().expect("injector poisoned").drain(..) {
-            if stream.set_nonblocking(true).is_err() {
-                continue;
-            }
-            let Ok(write_half) = stream.try_clone() else {
-                continue;
-            };
-            conns.push(Conn {
-                stream,
-                out: sink(PatientWriter { stream: write_half }),
-                buf: Vec::new(),
-                last_activity: Instant::now(),
-            });
-        }
-        let mut any_progress = false;
-        let mut shutdown = false;
-        conns.retain_mut(|conn| match conn.service(&server, &mut scratch) {
-            ConnEvent::Progress => {
-                any_progress = true;
-                true
-            }
-            ConnEvent::Idle => {
-                // Slow-loris reaping: only a *partial* line on a
-                // silent socket is abuse; idle keep-alives are free.
-                if !conn.buf.is_empty() && conn.last_activity.elapsed() >= stall {
-                    write_line(
-                        &conn.out,
-                        &protocol::error_response(
-                            None,
-                            kind::BAD_REQUEST,
-                            "partial request line stalled; closing slow connection",
-                        ),
-                    );
-                    false
-                } else {
-                    true
-                }
-            }
-            ConnEvent::Close => false,
-            ConnEvent::Shutdown => {
-                shutdown = true;
-                false
-            }
-        });
-        if shutdown {
-            return;
-        }
-        if any_progress {
-            idle_us = IDLE_FLOOR_US;
-        } else {
-            std::thread::sleep(Duration::from_micros(idle_us));
-            idle_us = (idle_us * 2).min(idle_cap_us);
-        }
-    }
-}

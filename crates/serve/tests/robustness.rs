@@ -1,8 +1,8 @@
 //! Protocol-robustness tests over real TCP sockets: malformed JSON,
-//! oversized requests, half-closed connections, and slow-loris
-//! clients must each produce clean, typed protocol errors — and none
-//! of them may wedge the reactor for the well-behaved connections
-//! sharing it.
+//! oversized requests, deeply nested JSON, half-closed connections,
+//! and slow-loris clients must each produce clean, typed protocol
+//! errors — and none of them may wedge the server for the
+//! well-behaved connections sharing it.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -142,9 +142,28 @@ fn oversized_requests_are_rejected_and_the_socket_closed() {
     assert_eq!(resp.error.as_deref(), Some(kind::REQUEST_TOO_LARGE));
     assert_eq!(fat.recv_raw(), None, "connection closed after rejection");
 
-    // The reactor shard that hosted it keeps serving everyone else.
+    // The server keeps serving everyone else.
     let mut healthy = Conn::open(addr);
     healthy.ping(1);
+    stop(addr, handle);
+}
+
+#[test]
+fn deeply_nested_json_is_a_bad_request_not_a_crash() {
+    let (addr, handle) = tcp_server(config());
+    let mut conn = Conn::open(addr);
+
+    // 10 KB of `[`: far under the line cap, far over any parser stack
+    // without a nesting limit.
+    conn.send(&"[".repeat(10_000));
+    let resp = conn.recv();
+    assert!(!resp.ok);
+    assert_eq!(resp.error.as_deref(), Some(kind::BAD_REQUEST));
+    assert_eq!(resp.id, None);
+
+    // The service, this connection and a fresh one all survive.
+    conn.ping(1);
+    Conn::open(addr).ping(2);
     stop(addr, handle);
 }
 
@@ -184,7 +203,7 @@ fn slow_loris_is_reaped_without_wedging_the_reactor() {
         .expect("partial line writes");
     loris.writer.flush().expect("partial line flushes");
 
-    // The shard keeps serving a healthy neighbour while the loris
+    // The server keeps serving a healthy neighbour while the loris
     // stalls...
     let mut healthy = Conn::open(addr);
     healthy.ping(1);
@@ -192,7 +211,7 @@ fn slow_loris_is_reaped_without_wedging_the_reactor() {
     healthy.ping(2);
 
     // ...and the loris is gone: its socket reads EOF (possibly after a
-    // final typed error line) instead of holding a shard slot forever.
+    // final typed error line) instead of holding a thread forever.
     let mut tail = Vec::new();
     loris
         .reader

@@ -251,6 +251,30 @@ fn protocol_edges_answer_with_correlated_errors() {
 }
 
 #[test]
+fn pipe_mode_caps_an_endless_line_without_buffering_it() {
+    // Four caps' worth of one newline-free line: one typed rejection,
+    // and the reader stops long before the input runs out.
+    let server = server(8, 1);
+    let max_line = ServerConfig::default().max_line_bytes;
+    let mut input = std::io::Read::take(std::io::repeat(b'x'), 4 * max_line as u64);
+    let (out, buf) = capture();
+    let shutdown = server.attach(&mut input, &out).expect("in-memory reader");
+    assert!(!shutdown);
+    let lines = captured_lines(&buf);
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    let resp = parse_response(&lines[0]).unwrap();
+    assert_eq!(
+        (resp.id, resp.error.as_deref()),
+        (None, Some(kind::REQUEST_TOO_LARGE))
+    );
+    assert!(
+        input.limit() >= 2 * max_line as u64,
+        "read {} bytes past a {max_line}-byte cap",
+        4 * max_line as u64 - input.limit()
+    );
+}
+
+#[test]
 fn analyze_reuses_a_scenario_environment_deterministically() {
     let server = server(8, 1);
     let stem = server.scenario_names()[0].to_string();
