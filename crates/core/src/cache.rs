@@ -11,24 +11,22 @@
 //! optimization loop), every repetition re-runs an identical fixpoint.
 //!
 //! A [`SolveCache`] memoises those solves whole: the key is a 128-bit
-//! quantized hash of the power profile
+//! hash of the power profile
 //! ([`ThermalDfa::signature`](crate::ThermalDfa::signature), built on
 //! [`tadfa_thermal::hashing`]), the value the complete
 //! [`ThermalDfaResult`].
 //!
-//! At the default quantum of `0.0` only bit-identical profiles share a
-//! key, so a cached answer is exactly the answer the solver would
-//! produce — analyses run *with* the cache are byte-identical to
-//! analyses run without it, which the engine's determinism tests
-//! assert. A coarser quantum trades that guarantee for a higher hit
-//! rate (profiles closer than the quantum are answered by whichever
-//! was solved first).
+//! Keys are exact bit patterns — there is no approximate mode — so only
+//! bit-identical profiles share a key, and a cached answer is exactly
+//! the answer the solver would produce: analyses run *with* the cache
+//! are byte-identical to analyses run without it, which the engine's
+//! determinism tests assert.
 //!
 //! The cache is sharded and lock-per-shard, so engine workers contend
 //! only when they touch the same shard at the same instant; entries are
 //! shared [`Arc`]s, so a hit clones a pointer, not the state vectors.
-//! Insertion stops (lookups continue) once `capacity` entries are
-//! resident, bounding memory on unbounded streams — and every store
+//! Insertion stops (lookups continue) once 4096 entries are resident,
+//! bounding memory on unbounded streams — and every store
 //! turned away at the capacity wall is counted
 //! ([`CacheStats::rejected_stores`]), so a long-lived service can tell
 //! "the working set fits" apart from "the cache silently stopped
@@ -44,8 +42,84 @@ use std::sync::{Arc, Mutex};
 /// Number of independently locked shards (power of two).
 const SHARDS: usize = 16;
 
-/// Default maximum number of resident entries (whole fixpoint results).
+/// Maximum number of resident entries per map (fixpoint results and
+/// summaries each). Large enough that a service session of a few
+/// thousand distinct functions turns no store away.
 const DEFAULT_CAPACITY: usize = 4096;
+
+/// One sharded `key → Arc<V>` map with an atomic occupancy count — the
+/// storage both of the cache's maps (results and summaries) use.
+#[derive(Debug)]
+struct ShardedMap<V> {
+    shards: Vec<Mutex<HashMap<u128, Arc<V>>>>,
+    /// Resident entries across all shards, maintained atomically so the
+    /// capacity check on the store path never touches another shard's
+    /// lock.
+    len: AtomicUsize,
+}
+
+/// What [`ShardedMap::insert`] did with a value.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+enum Insert {
+    /// A new key: the value is now resident.
+    New,
+    /// The key was already resident; the first value stays.
+    Resident,
+    /// A new key turned away at the capacity wall.
+    Full,
+}
+
+impl<V> ShardedMap<V> {
+    fn new() -> ShardedMap<V> {
+        ShardedMap {
+            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            len: AtomicUsize::new(0),
+        }
+    }
+
+    fn shard(&self, key: u128) -> std::sync::MutexGuard<'_, HashMap<u128, Arc<V>>> {
+        self.shards[(key as usize) & (SHARDS - 1)]
+            .lock()
+            .expect("cache shard poisoned")
+    }
+
+    fn get(&self, key: u128) -> Option<Arc<V>> {
+        self.shard(key).get(&key).cloned()
+    }
+
+    /// Inserts `value` under `key` unless the key is resident (first
+    /// wins) or [`DEFAULT_CAPACITY`] entries already are.
+    fn insert(&self, key: u128, value: &Arc<V>) -> Insert {
+        if self.len.load(Ordering::Relaxed) >= DEFAULT_CAPACITY {
+            // Re-storing a key that is already resident is not a lost
+            // insert, so only count genuinely new work turned away.
+            return if self.shard(key).contains_key(&key) {
+                Insert::Resident
+            } else {
+                Insert::Full
+            };
+        }
+        match self.shard(key).entry(key) {
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                slot.insert(Arc::clone(value));
+                self.len.fetch_add(1, Ordering::Relaxed);
+                Insert::New
+            }
+            std::collections::hash_map::Entry::Occupied(_) => Insert::Resident,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len.load(Ordering::Relaxed)
+    }
+
+    fn clear(&self) {
+        for s in &self.shards {
+            s.lock().expect("cache shard poisoned").clear();
+        }
+        self.len.store(0, Ordering::Relaxed);
+    }
+}
 
 /// A sharded, thread-safe memo cache for thermal-DFA fixpoint solves.
 ///
@@ -71,7 +145,7 @@ const DEFAULT_CAPACITY: usize = 4096;
 ///                           PowerModel::default(), ThermalDfaConfig::default())?;
 ///
 /// let cache = SolveCache::new();
-/// let key = dfa.signature(cache.quantum());
+/// let key = dfa.signature();
 /// assert!(cache.fetch(key).is_none(), "cold");
 /// cache.store(key, &std::sync::Arc::new(dfa.run()));
 /// assert!(cache.fetch(key).is_some(), "warm");
@@ -80,20 +154,13 @@ const DEFAULT_CAPACITY: usize = 4096;
 /// ```
 #[derive(Debug)]
 pub struct SolveCache {
-    shards: Vec<Mutex<HashMap<u128, Arc<ThermalDfaResult>>>>,
-    /// Thermal summaries (the interprocedural memo), sharded like the
-    /// fixpoint results but keyed in their own map: a function's
-    /// summary and its whole-fixpoint result share the same signature
-    /// key and must not collide.
-    summary_shards: Vec<Mutex<HashMap<u128, Arc<ThermalSummary>>>>,
-    /// Resident entries across all shards, maintained atomically so the
-    /// capacity check on the store path never touches another shard's
-    /// lock.
-    entries: AtomicUsize,
-    /// Resident summaries, counted separately (summaries are far
+    results: ShardedMap<ThermalDfaResult>,
+    /// Thermal summaries (the interprocedural memo), keyed in their own
+    /// map: a function's summary and its whole-fixpoint result share
+    /// the same signature key and must not collide. Summaries are far
     /// smaller than fixpoint results, so each map gets the full
-    /// capacity).
-    summary_entries: AtomicUsize,
+    /// capacity.
+    summaries: ShardedMap<ThermalSummary>,
     hits: AtomicU64,
     misses: AtomicU64,
     summary_hits: AtomicU64,
@@ -107,15 +174,13 @@ pub struct SolveCache {
     /// here so a persistence tier can drain it to disk. `None` (the
     /// default) keeps the store path free of the extra lock.
     spill_log: Mutex<Option<Vec<SpillEntry>>>,
-    capacity: usize,
-    quantum: f64,
 }
 
 /// One cache insertion, captured for the persistence tier: which map it
 /// went into, under which signature key, with the value itself.
 #[derive(Clone, Debug)]
 pub struct SpillEntry {
-    /// The quantized signature the value is cached under.
+    /// The signature the value is cached under.
     pub key: u128,
     /// The cached value.
     pub value: SpillValue,
@@ -187,22 +252,11 @@ impl Default for SolveCache {
 }
 
 impl SolveCache {
-    /// A bit-exact cache (quantum 0) with the default capacity.
+    /// An empty cache.
     pub fn new() -> SolveCache {
-        SolveCache::with_capacity_and_quantum(DEFAULT_CAPACITY, 0.0)
-    }
-
-    /// A cache holding at most `capacity` fixpoint results, keyed at
-    /// the given quantum. Quantum `0.0` keys on exact bit patterns
-    /// (cached results byte-identical to uncached); a positive quantum
-    /// merges power profiles closer than the quantum (more hits,
-    /// approximate).
-    pub fn with_capacity_and_quantum(capacity: usize, quantum: f64) -> SolveCache {
         SolveCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            summary_shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            entries: AtomicUsize::new(0),
-            summary_entries: AtomicUsize::new(0),
+            results: ShardedMap::new(),
+            summaries: ShardedMap::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             summary_hits: AtomicU64::new(0),
@@ -210,8 +264,6 @@ impl SolveCache {
             rejected: AtomicU64::new(0),
             preloaded: AtomicU64::new(0),
             spill_log: Mutex::new(None),
-            capacity,
-            quantum,
         }
     }
 
@@ -243,128 +295,28 @@ impl SolveCache {
         }
     }
 
-    /// The key quantum (see [`tadfa_thermal::hashing::quantize`]).
-    pub fn quantum(&self) -> f64 {
-        self.quantum
-    }
-
-    fn shard(&self, key: u128) -> &Mutex<HashMap<u128, Arc<ThermalDfaResult>>> {
-        &self.shards[(key as usize) & (SHARDS - 1)]
-    }
-
     /// The fixpoint result cached under `key`, if present. Counts a hit
     /// or a miss either way.
     pub fn fetch(&self, key: u128) -> Option<Arc<ThermalDfaResult>> {
-        let hit = self
-            .shard(key)
-            .lock()
-            .expect("cache shard poisoned")
-            .get(&key)
-            .cloned();
-        match hit {
-            Some(r) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(r)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let hit = self.results.get(key);
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
     /// Stores one fixpoint result. Once the cache is at capacity the
     /// store is rejected and counted ([`CacheStats::rejected_stores`])
     /// instead of inserted; concurrent stores of the same key keep the
-    /// first (with quantum 0 both are bit-identical anyway — a same-key
-    /// re-store is neither an insertion nor a rejection).
+    /// first (both are bit-identical anyway — a same-key re-store is
+    /// neither an insertion nor a rejection).
     pub fn store(&self, key: u128, result: &Arc<ThermalDfaResult>) {
-        if self.entries.load(Ordering::Relaxed) >= self.capacity {
-            // Re-storing a key that is already resident is not a lost
-            // insert, so only count genuinely new work turned away.
-            let resident = self
-                .shard(key)
-                .lock()
-                .expect("cache shard poisoned")
-                .contains_key(&key);
-            if !resident {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-            }
-            return;
-        }
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        if let std::collections::hash_map::Entry::Vacant(slot) = shard.entry(key) {
-            slot.insert(Arc::clone(result));
-            self.entries.fetch_add(1, Ordering::Relaxed);
-            drop(shard);
+        if self.admit(self.results.insert(key, result)) {
             self.spill(key, SpillValue::Result(Arc::clone(result)));
         }
-    }
-
-    /// Inserts a fixpoint result recovered from the persistence tier.
-    /// Unlike [`store`](SolveCache::store) this touches neither the
-    /// hit/miss counters nor the spill log (a preloaded entry must not
-    /// be re-spilled to the segment it came from); it is counted in
-    /// [`CacheStats::preloaded`] instead. Returns whether the entry
-    /// was inserted (`false`: already resident or at capacity —
-    /// silently, since warm-up is best-effort).
-    pub fn preload(&self, key: u128, result: Arc<ThermalDfaResult>) -> bool {
-        if self.entries.load(Ordering::Relaxed) >= self.capacity {
-            return false;
-        }
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        if let std::collections::hash_map::Entry::Vacant(slot) = shard.entry(key) {
-            slot.insert(result);
-            self.entries.fetch_add(1, Ordering::Relaxed);
-            self.preloaded.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Inserts a thermal summary recovered from the persistence tier —
-    /// the summary twin of [`preload`](SolveCache::preload): no
-    /// counter side effects beyond [`CacheStats::preloaded`], no spill
-    /// log, no [`CacheStats::summary_stores`].
-    pub fn preload_summary(&self, key: u128, summary: Arc<ThermalSummary>) -> bool {
-        if self.summary_entries.load(Ordering::Relaxed) >= self.capacity {
-            return false;
-        }
-        let shard = &self.summary_shards[(key as usize) & (SHARDS - 1)];
-        let mut shard = shard.lock().expect("cache shard poisoned");
-        if let std::collections::hash_map::Entry::Vacant(slot) = shard.entry(key) {
-            slot.insert(summary);
-            self.summary_entries.fetch_add(1, Ordering::Relaxed);
-            self.preloaded.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Preloads a batch of recovered [`SpillEntry`] values — the bulk
-    /// warm-recovery surface the persistence tier and the fleet
-    /// supervisor use. Each entry is dispatched to
-    /// [`preload`](SolveCache::preload) /
-    /// [`preload_summary`](SolveCache::preload_summary), so the
-    /// first-wins, no-spill-log, counted-in-`preloaded` semantics hold
-    /// per entry; duplicate keys in the batch (e.g. segment
-    /// directories carrying records from several process lifetimes)
-    /// collapse to the oldest occurrence. Returns how many entries
-    /// were actually inserted.
-    pub fn preload_entries(&self, entries: impl IntoIterator<Item = SpillEntry>) -> u64 {
-        let mut inserted = 0u64;
-        for entry in entries {
-            let took = match entry.value {
-                SpillValue::Result(r) => self.preload(entry.key, r),
-                SpillValue::Summary(s) => self.preload_summary(entry.key, s),
-            };
-            if took {
-                inserted += 1;
-            }
-        }
-        inserted
     }
 
     /// The thermal summary cached under `key`, if present. Counts a
@@ -372,11 +324,7 @@ impl SolveCache {
     /// caller flattens and stores, which
     /// [`CacheStats::summary_stores`] counts).
     pub fn fetch_summary(&self, key: u128) -> Option<Arc<ThermalSummary>> {
-        let hit = self.summary_shards[(key as usize) & (SHARDS - 1)]
-            .lock()
-            .expect("cache shard poisoned")
-            .get(&key)
-            .cloned();
+        let hit = self.summaries.get(key);
         if hit.is_some() {
             self.summary_hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -388,31 +336,71 @@ impl SolveCache {
     /// budget); only a genuinely new insertion counts as a
     /// [`CacheStats::summary_stores`].
     pub fn store_summary(&self, key: u128, summary: &Arc<ThermalSummary>) {
-        let shard = &self.summary_shards[(key as usize) & (SHARDS - 1)];
-        if self.summary_entries.load(Ordering::Relaxed) >= self.capacity {
-            let resident = shard
-                .lock()
-                .expect("cache shard poisoned")
-                .contains_key(&key);
-            if !resident {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-            }
-            return;
-        }
-        let mut shard = shard.lock().expect("cache shard poisoned");
-        if let std::collections::hash_map::Entry::Vacant(slot) = shard.entry(key) {
-            slot.insert(Arc::clone(summary));
-            self.summary_entries.fetch_add(1, Ordering::Relaxed);
+        if self.admit(self.summaries.insert(key, summary)) {
             self.summary_stores.fetch_add(1, Ordering::Relaxed);
-            drop(shard);
             self.spill(key, SpillValue::Summary(Arc::clone(summary)));
         }
+    }
+
+    /// Counts a store turned away at capacity; `true` for a new entry.
+    fn admit(&self, outcome: Insert) -> bool {
+        if outcome == Insert::Full {
+            self.rejected.fetch_add(1, Ordering::Relaxed);
+        }
+        outcome == Insert::New
+    }
+
+    /// Inserts a fixpoint result recovered from the persistence tier.
+    /// Unlike [`store`](SolveCache::store) this touches neither the
+    /// hit/miss counters nor the spill log (a preloaded entry must not
+    /// be re-spilled to the segment it came from); it is counted in
+    /// [`CacheStats::preloaded`] instead. Returns whether the entry
+    /// was inserted (`false`: already resident or at capacity —
+    /// silently, since warm-up is best-effort).
+    pub fn preload(&self, key: u128, result: Arc<ThermalDfaResult>) -> bool {
+        self.preload_entries([SpillEntry {
+            key,
+            value: SpillValue::Result(result),
+        }]) == 1
+    }
+
+    /// Inserts a thermal summary recovered from the persistence tier —
+    /// the summary counterpart of [`preload`](SolveCache::preload): no
+    /// counter side effects beyond [`CacheStats::preloaded`], no spill
+    /// log, no [`CacheStats::summary_stores`].
+    pub fn preload_summary(&self, key: u128, summary: Arc<ThermalSummary>) -> bool {
+        self.preload_entries([SpillEntry {
+            key,
+            value: SpillValue::Summary(summary),
+        }]) == 1
+    }
+
+    /// Preloads a batch of recovered [`SpillEntry`] values — the bulk
+    /// warm-recovery surface the persistence tier and the fleet
+    /// supervisor use. First-wins, no spill log, counted in
+    /// `preloaded`, per entry; duplicate keys in the batch (e.g.
+    /// segment directories carrying records from several process
+    /// lifetimes) collapse to the oldest occurrence. Returns how many
+    /// entries were actually inserted.
+    pub fn preload_entries(&self, entries: impl IntoIterator<Item = SpillEntry>) -> u64 {
+        let mut inserted = 0u64;
+        for entry in entries {
+            let outcome = match &entry.value {
+                SpillValue::Result(r) => self.results.insert(entry.key, r),
+                SpillValue::Summary(s) => self.summaries.insert(entry.key, s),
+            };
+            if outcome == Insert::New {
+                inserted += 1;
+            }
+        }
+        self.preloaded.fetch_add(inserted, Ordering::Relaxed);
+        inserted
     }
 
     /// Number of resident entries (approximate under concurrent
     /// insertion).
     pub fn len(&self) -> usize {
-        self.entries.load(Ordering::Relaxed)
+        self.results.len()
     }
 
     /// Whether the cache holds no entries.
@@ -422,14 +410,8 @@ impl SolveCache {
 
     /// Drops every entry and zeroes the hit/miss counters.
     pub fn clear(&self) {
-        for s in &self.shards {
-            s.lock().expect("cache shard poisoned").clear();
-        }
-        for s in &self.summary_shards {
-            s.lock().expect("cache shard poisoned").clear();
-        }
-        self.entries.store(0, Ordering::Relaxed);
-        self.summary_entries.store(0, Ordering::Relaxed);
+        self.results.clear();
+        self.summaries.clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.summary_hits.store(0, Ordering::Relaxed);
@@ -514,7 +496,7 @@ mod tests {
             ThermalDfaConfig::default(),
         )
         .unwrap();
-        (dfa.signature(0.0), Arc::new(dfa.run()))
+        (dfa.signature(), Arc::new(dfa.run()))
     }
 
     #[test]
@@ -530,15 +512,28 @@ mod tests {
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
+    /// A cache at capacity: `key` stored first, then filler keys
+    /// (`key ^ (k << 64)`, disjoint from the low-bit keys the tests
+    /// store next) up to [`DEFAULT_CAPACITY`].
+    fn full_cache(key: u128, result: &Arc<ThermalDfaResult>) -> SolveCache {
+        let c = SolveCache::new();
+        c.store(key, result);
+        for k in 1..DEFAULT_CAPACITY as u128 {
+            c.store(key ^ (k << 64), result);
+        }
+        assert_eq!(c.len(), DEFAULT_CAPACITY);
+        assert_eq!(c.stats().rejected_stores, 0);
+        c
+    }
+
     #[test]
     fn capacity_bounds_insertion_but_not_lookup() {
-        let c = SolveCache::with_capacity_and_quantum(1, 0.0);
         let (key, result) = solved();
-        c.store(key, &result);
+        let c = full_cache(key, &result);
         for k in 1..5u128 {
             c.store(key ^ k, &result);
         }
-        assert_eq!(c.len(), 1, "capacity respected");
+        assert_eq!(c.len(), DEFAULT_CAPACITY, "capacity respected");
         assert!(c.fetch(key).is_some());
         assert_eq!(c.stats().rejected_stores, 4, "each lost insert counted");
         // Re-storing the resident key at capacity is not a lost insert.
@@ -551,9 +546,8 @@ mod tests {
     /// and the first writer of the resident key wins.
     #[test]
     fn concurrent_stores_at_capacity_count_rejections() {
-        let c = SolveCache::with_capacity_and_quantum(1, 0.0);
         let (key, result) = solved();
-        c.store(key, &result);
+        let c = full_cache(key, &result);
         let resident = c.fetch(key).expect("resident before the store storm");
 
         const THREADS: u64 = 4;
@@ -564,7 +558,7 @@ mod tests {
                 let result = &result;
                 scope.spawn(move || {
                     for i in 0..STORES_PER_THREAD {
-                        // Distinct keys per thread, all doomed: the one
+                        // Distinct keys per thread, all doomed: every
                         // capacity slot is already taken.
                         c.store(key ^ (1 + t * STORES_PER_THREAD + i) as u128, result);
                         // Lookups of the resident key keep being served.
@@ -575,7 +569,7 @@ mod tests {
         });
 
         let s = c.stats();
-        assert_eq!(c.len(), 1, "capacity still respected");
+        assert_eq!(c.len(), DEFAULT_CAPACITY, "capacity still respected");
         assert_eq!(s.rejected_stores, THREADS * STORES_PER_THREAD);
         assert_eq!(s.hits, 1 + THREADS * STORES_PER_THREAD);
         // First writer wins: the resident entry is still the original.
@@ -585,9 +579,8 @@ mod tests {
 
     #[test]
     fn clear_resets_entries_and_counters() {
-        let c = SolveCache::with_capacity_and_quantum(1, 0.0);
         let (key, result) = solved();
-        c.store(key, &result);
+        let c = full_cache(key, &result);
         c.store(key ^ 1, &result);
         let _ = c.fetch(key);
         c.clear();
@@ -630,7 +623,7 @@ mod tests {
                 ThermalDfaConfig::default(),
             )
             .unwrap();
-            Arc::new(dfa.summarize(0.0))
+            Arc::new(dfa.summarize())
         };
         c.store_summary(key, &sum);
         c.store_summary(key, &sum); // re-store is not a second store
@@ -661,7 +654,7 @@ mod tests {
             ThermalDfaConfig::default(),
         )
         .unwrap();
-        (dfa.signature(0.0), Arc::new(dfa.summarize(0.0)))
+        (dfa.signature(), Arc::new(dfa.summarize()))
     }
 
     /// The persistence contract end-to-end in memory: new insertions

@@ -6,8 +6,8 @@
 //! every `f64` travels as its IEEE-754 bit pattern
 //! (`to_bits`/`from_bits`), so a result loaded from disk is
 //! byte-identical to the result that was spilled — the same
-//! bit-identity contract the in-memory cache keeps
-//! (quantum 0), extended across process restarts.
+//! bit-identity contract the in-memory cache keeps (its keys are exact
+//! bit patterns), extended across process restarts.
 //!
 //! The format is deliberately dumb: little-endian fixed-width
 //! integers, length-prefixed sequences, no compression, no

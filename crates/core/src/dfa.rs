@@ -37,37 +37,17 @@ use tadfa_thermal::{
 
 /// Reusable buffers for one worker's fixpoint runs.
 ///
-/// The inner loop of the DFA builds a per-instruction power vector and
-/// access list, and steps the RC solver; a fresh allocation per
-/// instruction is measurable on large batches. Holding a [`DfaScratch`]
-/// per worker (the engine does) or per session reuses the buffers —
-/// including the compiled solver's [`StepScratch`] — across every
-/// instruction of every function.
+/// Building the per-instruction access list and stepping the RC solver
+/// would allocate per instruction, which is measurable on large
+/// batches. Holding a [`DfaScratch`] per worker (the engine does) or per
+/// session reuses the buffers — including the compiled solver's
+/// [`StepScratch`] — across every instruction of every function.
 #[derive(Debug, Default)]
 pub struct DfaScratch {
-    /// Dense power buffer (reference path only).
-    power: PowerScratch,
     /// Per-instruction `(analysis point, energy)` access pairs.
     accesses: Vec<(usize, f64)>,
     /// Transient-solver scratch for the compiled kernels.
     step: StepScratch,
-}
-
-/// The reference path's dense power buffer. The compiled path needs no
-/// power buffer at all — its deposits go straight into the solver's
-/// sparse entry point ([`CompiledModel::step_sparse_into`]) — so this
-/// exists only to reproduce the pre-optimization transfer function.
-#[derive(Debug, Default)]
-struct PowerScratch {
-    buf: Vec<f64>,
-}
-
-/// Which solver drives the transfer function — the compiled plan (the
-/// production path) or the retained naive reference.
-#[derive(Copy, Clone, Debug)]
-enum SolverPath {
-    Compiled,
-    Reference,
 }
 
 /// The iteration-invariant half of the fixpoint's inner loop, resolved
@@ -102,6 +82,16 @@ struct SweepState {
     exit: Vec<Option<ThermalState>>,
 }
 
+impl SweepState {
+    fn new(func: &Function) -> SweepState {
+        SweepState {
+            after: vec![None; func.arena_len()],
+            entry: vec![None; func.num_blocks()],
+            exit: vec![None; func.num_blocks()],
+        }
+    }
+}
+
 /// The compiled sweep's per-instruction state store: one flat
 /// `arena_len × n` matrix instead of one heap allocation per
 /// instruction, so consecutive visits walk contiguous memory.
@@ -124,6 +114,19 @@ impl AfterMatrix {
             return f64::INFINITY;
         }
         ThermalState::linf_update_slices(row, new.temps())
+    }
+
+    /// Materialises every visited row as its own state (unvisited —
+    /// unreachable — instructions stay `None`).
+    fn into_states(self) -> Vec<Option<ThermalState>> {
+        let n = self.n;
+        self.init
+            .iter()
+            .enumerate()
+            .map(|(i, &init)| {
+                init.then(|| ThermalState::from_vec(self.data[i * n..(i + 1) * n].to_vec()))
+            })
+            .collect()
     }
 
     /// One instruction's row plus whether it held a previous state,
@@ -203,24 +206,7 @@ impl<'a> ThermalDfa<'a> {
         power_model: PowerModel,
         config: ThermalDfaConfig,
     ) -> Result<ThermalDfa<'a>, TadfaError> {
-        config.validate()?;
-        for (_bb, id) in func.inst_ids_in_layout_order() {
-            let inst = func.inst(id);
-            if inst.op == Opcode::Call {
-                return Err(TadfaError::CallsRequireModule {
-                    function: func.name().to_string(),
-                    callee: inst.callee_name().unwrap_or("?").to_string(),
-                });
-            }
-        }
-        Ok(ThermalDfa {
-            func,
-            assignment,
-            grid,
-            power_model,
-            config,
-            call_summaries: Vec::new(),
-        })
+        ThermalDfa::build(func, assignment, grid, power_model, config, None)
     }
 
     /// Creates the call-aware analysis: every `call` in `func` is
@@ -244,6 +230,19 @@ impl<'a> ThermalDfa<'a> {
         config: ThermalDfaConfig,
         summaries: &HashMap<String, Arc<ThermalSummary>>,
     ) -> Result<ThermalDfa<'a>, TadfaError> {
+        ThermalDfa::build(func, assignment, grid, power_model, config, Some(summaries))
+    }
+
+    /// The one constructor body: validates `config` and resolves every
+    /// call site against `summaries` (`None`: calls are not allowed).
+    pub(crate) fn build(
+        func: &'a Function,
+        assignment: &'a Assignment,
+        grid: &'a AnalysisGrid,
+        power_model: PowerModel,
+        config: ThermalDfaConfig,
+        summaries: Option<&HashMap<String, Arc<ThermalSummary>>>,
+    ) -> Result<ThermalDfa<'a>, TadfaError> {
         config.validate()?;
         let mut call_summaries: Vec<Option<Arc<ThermalSummary>>> = Vec::new();
         for (_bb, id) in func.inst_ids_in_layout_order() {
@@ -252,6 +251,12 @@ impl<'a> ThermalDfa<'a> {
                 continue;
             }
             let callee = inst.callee_name().unwrap_or("?");
+            let Some(summaries) = summaries else {
+                return Err(TadfaError::CallsRequireModule {
+                    function: func.name().to_string(),
+                    callee: callee.to_string(),
+                });
+            };
             let sum = summaries
                 .get(callee)
                 .ok_or_else(|| TadfaError::MissingSummary {
@@ -438,38 +443,37 @@ impl<'a> ThermalDfa<'a> {
         state: &mut ThermalState,
         accesses: &[(usize, f64)],
         latency: u32,
-        power: &mut PowerScratch,
+        power: &mut Vec<f64>,
     ) {
         let n = self.grid.num_points();
         let natural = latency as f64 * self.config.seconds_per_cycle;
         let dt = self.config.step_duration(latency);
-        power.buf.clear();
-        power.buf.resize(n, 0.0);
+        power.clear();
+        power.resize(n, 0.0);
         for &(p, e) in accesses {
-            power.buf[p] += e / natural;
+            power[p] += e / natural;
         }
         if self.config.leakage_feedback {
-            self.power_model.add_leakage(&mut power.buf, state);
+            self.power_model.add_leakage(power, state);
         }
-        self.grid.model().step(state, &power.buf, dt);
+        self.grid.model().step(state, power, dt);
     }
 
-    /// The quantized power-profile hash of this analysis — the
-    /// [`SolveCache`] key. Two analyses share a signature exactly when
-    /// every input the fixpoint reads agrees (under the quantum): the
-    /// grid's RC parameters and point count, the DFA configuration, the
-    /// leakage model, and, instruction by instruction in control-flow
-    /// order, which analysis points are touched with what energy for
-    /// how long. At quantum `0.0` the float inputs are keyed by exact
-    /// bit pattern, so equal signatures imply bit-identical fixpoint
-    /// results.
-    pub fn signature(&self, quantum: f64) -> u128 {
-        self.signature_with(&Cfg::compute(self.func), quantum)
+    /// The power-profile hash of this analysis — the [`SolveCache`]
+    /// key. Two analyses share a signature exactly when every input the
+    /// fixpoint reads agrees: the grid's RC parameters and point count,
+    /// the DFA configuration, the leakage model, and, instruction by
+    /// instruction in control-flow order, which analysis points are
+    /// touched with what energy for how long. Float inputs are keyed by
+    /// their exact bit patterns, so equal signatures imply
+    /// bit-identical fixpoint results.
+    pub fn signature(&self) -> u128 {
+        self.signature_with(&Cfg::compute(self.func))
     }
 
     /// [`signature`](ThermalDfa::signature) over a CFG the caller
     /// already computed (the fixpoint needs the same one).
-    fn signature_with(&self, cfg: &Cfg, quantum: f64) -> u128 {
+    fn signature_with(&self, cfg: &Cfg) -> u128 {
         let mut h = tadfa_thermal::hashing::Fnv128::new();
         // Grid + RC model. The grid's shape (not just its point count)
         // is part of the key: two equal-area coarsenings (e.g. 2×8 and
@@ -481,24 +485,24 @@ impl<'a> ThermalDfa<'a> {
         h.write_u64(fp.cols() as u64);
         let params = self.grid.model().params();
         h.write_u64(self.grid.num_points() as u64);
-        h.write_f64(params.cell_capacitance, quantum);
-        h.write_f64(params.lateral_resistance, quantum);
-        h.write_f64(params.vertical_resistance, quantum);
-        h.write_f64(params.ambient, quantum);
+        h.write_f64(params.cell_capacitance);
+        h.write_f64(params.lateral_resistance);
+        h.write_f64(params.vertical_resistance);
+        h.write_f64(params.ambient);
         // DFA config.
-        h.write_f64(self.config.delta, quantum);
+        h.write_f64(self.config.delta);
         h.write_u64(self.config.max_iterations as u64);
         h.write_u64(match self.config.merge {
             MergeRule::Max => 0,
             MergeRule::Average => 1,
         });
-        h.write_f64(self.config.seconds_per_cycle, quantum);
-        h.write_f64(self.config.time_scale, quantum);
+        h.write_f64(self.config.seconds_per_cycle);
+        h.write_f64(self.config.time_scale);
         h.write_u64(self.config.leakage_feedback as u64);
         // Leakage model (read/write energies are folded in per access).
-        h.write_f64(self.power_model.leakage_per_cell, quantum);
-        h.write_f64(self.power_model.leakage_temp_coeff, quantum);
-        h.write_f64(self.power_model.reference_temp, quantum);
+        h.write_f64(self.power_model.leakage_per_cell);
+        h.write_f64(self.power_model.leakage_temp_coeff);
+        h.write_f64(self.power_model.reference_temp);
         // The power profile: result vectors are indexed by arena slot
         // and block id, so fold the ids in alongside the accesses.
         let func = self.func;
@@ -520,7 +524,7 @@ impl<'a> ThermalDfa<'a> {
                 self.fill_access_energies(inst, &mut accesses);
                 for &(point, energy) in &accesses {
                     h.write_u64(point as u64);
-                    h.write_f64(energy, quantum);
+                    h.write_f64(energy);
                 }
                 // A call site's transfer function includes the callee's
                 // replayed trace, so the callee summary's own signature
@@ -537,7 +541,7 @@ impl<'a> ThermalDfa<'a> {
                 self.fill_term_energies(t, &mut accesses);
                 for &(point, energy) in &accesses {
                     h.write_u64(point as u64);
-                    h.write_f64(energy, quantum);
+                    h.write_f64(energy);
                 }
             }
         }
@@ -551,11 +555,9 @@ impl<'a> ThermalDfa<'a> {
     /// summary spliced in transitively. Replaying the summary on a
     /// thermal state is exact for any entry state, including under
     /// leakage feedback, because it runs the same solver steps the
-    /// sweeps run.
-    ///
-    /// `quantum` keys the embedded [`signature`](ThermalSummary::signature)
-    /// (use the memo cache's quantum; `0.0` for bit-exact keying).
-    pub fn summarize(&self, quantum: f64) -> ThermalSummary {
+    /// sweeps run. The summary carries this function's
+    /// [`signature`](ThermalDfa::signature).
+    pub fn summarize(&self) -> ThermalSummary {
         let cfg = Cfg::compute(self.func);
         let mut accesses = Vec::new();
         let plan = self.build_plan(&cfg, &mut accesses);
@@ -589,7 +591,7 @@ impl<'a> ThermalDfa<'a> {
             plan.leak,
             self.config.leakage_feedback,
             self.grid.num_points(),
-            self.signature_with(&cfg, quantum),
+            self.signature_with(&cfg),
         )
     }
 
@@ -617,26 +619,35 @@ impl<'a> ThermalDfa<'a> {
     /// Runs the fixpoint iteration of Fig. 2 and returns the thermal
     /// state following each instruction.
     pub fn run(&self) -> ThermalDfaResult {
-        self.fixpoint(
-            &Cfg::compute(self.func),
-            &mut DfaScratch::default(),
-            SolverPath::Compiled,
-        )
+        self.fixpoint(&Cfg::compute(self.func), &mut DfaScratch::default())
     }
 
     /// [`run`](ThermalDfa::run) driven through the retained naive
     /// reference solver (per-call allocations, dense power zeroing,
-    /// neighbour-iterator stepping) — the pre-optimization path. Kept so
-    /// bit-identity of the compiled kernels can be asserted end to end
-    /// (`tests/solver_identity.rs`) and so the solver quickbench has an
-    /// honest baseline; production callers want
-    /// [`run`](ThermalDfa::run) / [`run_with`](ThermalDfa::run_with).
+    /// neighbour-iterator stepping) — the pre-optimization path, with
+    /// its own fixpoint loop and its own buffers, apart from the
+    /// production one. Kept so bit-identity of the compiled kernels can
+    /// be asserted end to end (`tests/solver_identity.rs`) and so the
+    /// solver quickbench has an honest baseline; production callers
+    /// want [`run`](ThermalDfa::run) / [`run_with`](ThermalDfa::run_with).
     pub fn run_reference(&self) -> ThermalDfaResult {
-        self.fixpoint(
-            &Cfg::compute(self.func),
-            &mut DfaScratch::default(),
-            SolverPath::Reference,
-        )
+        let cfg = Cfg::compute(self.func);
+        let initial = self.grid.model().ambient_state();
+        let mut state = SweepState::new(self.func);
+        let mut accesses = Vec::new();
+        let mut power = Vec::new();
+        let mut step = StepScratch::new();
+        let (convergence, history) = self.iterate(|| {
+            self.sweep_reference(
+                &cfg,
+                &initial,
+                &mut state,
+                &mut accesses,
+                &mut power,
+                &mut step,
+            )
+        });
+        self.result(state, convergence, history)
     }
 
     /// [`run`](ThermalDfa::run) with caller-owned scratch buffers and an
@@ -644,131 +655,101 @@ impl<'a> ThermalDfa<'a> {
     /// the whole fixpoint is answered from memo when an identical
     /// power profile (see [`ThermalDfa::signature`]) was solved before;
     /// a hit clones an [`Arc`], never the state vectors. Results are
-    /// identical to [`run`](ThermalDfa::run) whenever the cache's
-    /// quantum is `0.0` (the default), because only bit-identical
-    /// profiles share a cache key.
+    /// identical to [`run`](ThermalDfa::run), because only
+    /// bit-identical profiles share a cache key.
     pub fn run_with(
         &self,
         scratch: &mut DfaScratch,
         cache: Option<&SolveCache>,
     ) -> Arc<ThermalDfaResult> {
         let cfg = Cfg::compute(self.func);
-        match cache {
-            Some(cache) => {
-                let key = self.signature_with(&cfg, cache.quantum());
-                if let Some(hit) = cache.fetch(key) {
-                    return hit;
-                }
-                let result = Arc::new(self.fixpoint(&cfg, scratch, SolverPath::Compiled));
-                cache.store(key, &result);
-                result
-            }
-            None => Arc::new(self.fixpoint(&cfg, scratch, SolverPath::Compiled)),
+        let Some(cache) = cache else {
+            return Arc::new(self.fixpoint(&cfg, scratch));
+        };
+        let key = self.signature_with(&cfg);
+        if let Some(hit) = cache.fetch(key) {
+            return hit;
         }
+        let result = Arc::new(self.fixpoint(&cfg, scratch));
+        cache.store(key, &result);
+        result
     }
 
-    /// The Fig. 2 iteration itself.
-    fn fixpoint(&self, cfg: &Cfg, scratch: &mut DfaScratch, path: SolverPath) -> ThermalDfaResult {
+    /// The Fig. 2 iteration through the compiled sweep.
+    fn fixpoint(&self, cfg: &Cfg, scratch: &mut DfaScratch) -> ThermalDfaResult {
         let func = self.func;
         let initial = self.grid.model().ambient_state();
         let n = self.grid.num_points();
-        let DfaScratch {
-            power,
-            accesses,
-            step,
-        } = scratch;
-        // The production path resolves its per-instruction plan up
-        // front — plus a reusable walker state (written into by merges,
-        // advanced by the solver, copied into result slots; no
-        // allocation after the first sweep) and a flat
-        // row-per-instruction state matrix (contiguous and
-        // prefetch-friendly where one heap allocation per instruction
-        // is pointer-chasing; materialised into result slots at the
-        // end). The reference path re-derives everything per sweep,
-        // exactly as the pre-optimization code did, and must not pay
-        // for any of this.
-        let (plan, mut walker, mut after) = match path {
-            SolverPath::Compiled => (
-                Some(self.build_plan(cfg, accesses)),
-                initial.clone(),
-                AfterMatrix {
-                    data: vec![0.0; func.arena_len() * n],
-                    init: vec![false; func.arena_len()],
-                    n,
-                },
-            ),
-            SolverPath::Reference => (
-                None,
-                ThermalState::uniform(0, 0.0),
-                AfterMatrix {
-                    data: Vec::new(),
-                    init: Vec::new(),
-                    n,
-                },
-            ),
+        let DfaScratch { accesses, step } = scratch;
+        // The per-instruction plan is resolved up front, plus a
+        // reusable walker state (written into by merges, advanced by
+        // the solver, copied into result slots; no allocation after the
+        // first sweep) and a flat row-per-instruction state matrix
+        // (contiguous and prefetch-friendly where one heap allocation
+        // per instruction is pointer-chasing; materialised into result
+        // slots at the end).
+        let plan = self.build_plan(cfg, accesses);
+        let mut walker = initial.clone();
+        let mut after = AfterMatrix {
+            data: vec![0.0; func.arena_len() * n],
+            init: vec![false; func.arena_len()],
+            n,
         };
+        let mut state = SweepState::new(func);
+        let (convergence, history) = self.iterate(|| {
+            self.sweep_compiled(
+                cfg,
+                &plan,
+                &initial,
+                &mut walker,
+                &mut after,
+                &mut state,
+                step,
+            )
+        });
+        state.after = after.into_states();
+        self.result(state, convergence, history)
+    }
 
-        let mut state = SweepState {
-            after: vec![None; func.arena_len()],
-            entry: vec![None; func.num_blocks()],
-            exit: vec![None; func.num_blocks()],
-        };
+    /// The sweep count, δ test and residual history both fixpoint loops
+    /// share: runs `sweep` (which returns the sweep's largest
+    /// per-instruction change) until the change is within δ or the
+    /// iteration budget runs out.
+    fn iterate(&self, mut sweep: impl FnMut() -> f64) -> (Convergence, Vec<f64>) {
         let mut history: Vec<f64> = Vec::new();
-
-        let mut convergence = Convergence::DidNotConverge {
-            iterations: self.config.max_iterations,
-            residual: f64::INFINITY,
-        };
-
         for iteration in 1..=self.config.max_iterations {
-            let max_change = match &plan {
-                Some(plan) => self.sweep_compiled(
-                    cfg,
-                    plan,
-                    &initial,
-                    &mut walker,
-                    &mut after,
-                    &mut state,
-                    step,
-                ),
-                None => self.sweep_reference(cfg, &initial, &mut state, accesses, power, step),
-            };
-
+            let max_change = sweep();
             // The first sweep necessarily "changes" everything from
             // nothing; record it as infinite residual but never converge
             // on it.
             history.push(max_change);
             if iteration > 1 && max_change <= self.config.delta {
-                convergence = Convergence::Converged {
+                let convergence = Convergence::Converged {
                     iterations: iteration,
                 };
-                break;
-            }
-            if iteration == self.config.max_iterations {
-                convergence = Convergence::DidNotConverge {
-                    iterations: iteration,
-                    residual: max_change,
-                };
+                return (convergence, history);
             }
         }
+        let convergence = Convergence::DidNotConverge {
+            iterations: self.config.max_iterations,
+            residual: history.last().copied().unwrap_or(f64::INFINITY),
+        };
+        (convergence, history)
+    }
 
-        if plan.is_some() {
-            state.after = after
-                .init
-                .iter()
-                .enumerate()
-                .map(|(i, &init)| {
-                    init.then(|| ThermalState::from_vec(after.data[i * n..(i + 1) * n].to_vec()))
-                })
-                .collect();
-        }
-
+    /// Packages a finished fixpoint's slots and convergence record.
+    fn result(
+        &self,
+        state: SweepState,
+        convergence: Convergence,
+        residual_history: Vec<f64>,
+    ) -> ThermalDfaResult {
         ThermalDfaResult {
             after: state.after,
             block_entry: state.entry,
             block_exit: state.exit,
             convergence,
-            residual_history: history,
+            residual_history,
             ambient: self.grid.model().ambient(),
             num_points: self.grid.num_points(),
         }
@@ -925,7 +906,7 @@ impl<'a> ThermalDfa<'a> {
         initial: &ThermalState,
         state: &mut SweepState,
         accesses: &mut Vec<(usize, f64)>,
-        power: &mut PowerScratch,
+        power: &mut Vec<f64>,
         step: &mut StepScratch,
     ) -> f64 {
         let func = self.func;
@@ -1472,9 +1453,60 @@ mod tests {
                 ThermalDfaConfig::default(),
             )
             .unwrap()
-            .signature(0.0)
+            .signature()
         };
         assert_ne!(sig(&wide), sig(&square));
+    }
+
+    /// Cache keys are persisted (`--cache-dir` segments), so their
+    /// format is pinned: a leaf and a caller that replays the leaf's
+    /// summary, both keyed as `signature()` and as the summary's
+    /// embedded signature. Changing any literal here orphans every
+    /// segment written by an earlier build.
+    #[test]
+    fn signature_and_summary_keys_are_pinned() {
+        let rf = rf_4x4();
+        let grid = AnalysisGrid::full(&rf, RcParams::default());
+        let mut leaf = straightline();
+        let leaf_alloc =
+            allocate_linear_scan(&mut leaf, &rf, &mut FirstFree, &RegAllocConfig::default())
+                .unwrap();
+        let leaf_dfa = ThermalDfa::new(
+            &leaf,
+            &leaf_alloc.assignment,
+            &grid,
+            PowerModel::default(),
+            ThermalDfaConfig::default(),
+        )
+        .unwrap();
+        let leaf_key = 0x1289d6cc05c79d315538507a880a2d0d_u128;
+        assert_eq!(leaf_dfa.signature(), leaf_key);
+        let leaf_summary = leaf_dfa.summarize();
+        assert_eq!(leaf_summary.signature(), leaf_key);
+
+        let mut b = FunctionBuilder::new("main");
+        let x = b.param();
+        let y = b.add(x, x);
+        let r = b.call("s", &[y]);
+        let z = b.add(r, y);
+        b.ret(Some(z));
+        let mut main = b.finish();
+        let main_alloc =
+            allocate_linear_scan(&mut main, &rf, &mut FirstFree, &RegAllocConfig::default())
+                .unwrap();
+        let summaries = HashMap::from([("s".to_string(), Arc::new(leaf_summary))]);
+        let main_dfa = ThermalDfa::with_summaries(
+            &main,
+            &main_alloc.assignment,
+            &grid,
+            PowerModel::default(),
+            ThermalDfaConfig::default(),
+            &summaries,
+        )
+        .unwrap();
+        let main_key = 0xbc5c718fc054d2770c109805355d00aa_u128;
+        assert_eq!(main_dfa.signature(), main_key);
+        assert_eq!(main_dfa.summarize().signature(), main_key);
     }
 
     #[test]

@@ -18,18 +18,21 @@
 //!   stepped by every worker) and the [`SolveCache`].
 //! * **Per worker:** one freshly instantiated assignment policy per
 //!   item (from the engine's [`PolicyFactory`]) and one reusable
-//!   [`DfaScratch`] buffer set — the fixpoint's power map (reset in
-//!   O(accesses) per instruction) and the solver's step scratch.
+//!   [`DfaScratch`] buffer set — the fixpoint's access list and the
+//!   solver's step scratch.
 //! * **Per item:** an independent `Result` slot — a function that fails
 //!   allocation produces its own `Err` without disturbing the rest of
 //!   the batch, and results are returned in input order regardless of
 //!   which worker finished first.
 //!
 //! Because policies are instantiated fresh per item and the solve
-//! cache's default quantum is `0.0` (bit-exact keys), the engine's
-//! reports are **byte-identical** to the sequential session's, in the
-//! same order — `tests/engine_parallel.rs` asserts this fingerprint by
-//! fingerprint.
+//! cache keys on exact bit patterns (it has no approximate mode), the
+//! engine's reports are **byte-identical** to the sequential
+//! session's, in the same order — `tests/engine_parallel.rs` asserts
+//! this fingerprint by fingerprint. Every item runs the one production
+//! fixpoint; the retained reference fixpoint
+//! ([`ThermalDfa::run_reference`](crate::ThermalDfa::run_reference)) is
+//! its own loop and never runs on a worker.
 //!
 //! # Example
 //!
@@ -55,9 +58,7 @@ use crate::config::ThermalDfaConfig;
 use crate::critical::CriticalConfig;
 use crate::dfa::DfaScratch;
 use crate::error::TadfaError;
-use crate::session::{ModuleReport, Session, SessionCore, ThermalReport};
-use crate::summary::ThermalSummary;
-use std::collections::HashMap;
+use crate::session::{ModuleReport, Session, SessionCore, Summaries, ThermalReport};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -261,15 +262,6 @@ impl Engine {
         )
     }
 
-    /// Replaces the solve cache with one of the given capacity and key
-    /// quantum. Quantum `0.0` (the default) keys on exact bits and
-    /// preserves byte-identical results; a positive quantum trades that
-    /// guarantee for a higher hit rate.
-    pub fn with_cache(mut self, capacity: usize, quantum: f64) -> Engine {
-        self.cache = SolveCache::with_capacity_and_quantum(capacity, quantum);
-        self
-    }
-
     /// The worker count.
     pub fn workers(&self) -> usize {
         self.workers
@@ -339,9 +331,10 @@ impl Engine {
     ///
     /// Two phases: first the call graph's condensation is walked
     /// bottom-up **sequentially**, flattening (and memoising in the
-    /// engine's cache) every function's [`ThermalSummary`] — cheap,
-    /// solver-free work whose order callers depend on; then every
-    /// function's fixpoint report runs **in parallel**, each call site
+    /// engine's cache) every function's
+    /// [`ThermalSummary`](crate::ThermalSummary) — cheap, solver-free
+    /// work whose order callers depend on; then every function's
+    /// fixpoint report runs **in parallel**, each call site
     /// replaying its callee's summary. Repeated bodies — within the
     /// module or across calls — are answered from the summary memo and
     /// the solve cache ([`Engine::cache_stats`] exposes both).
@@ -370,7 +363,7 @@ impl Engine {
 
         // Phase 1: bottom-up summaries, sequential (callers need their
         // callees' summaries; the flatten is solver-free and memoised).
-        let mut summaries: HashMap<String, Arc<ThermalSummary>> = HashMap::new();
+        let mut summaries = Summaries::new();
         for idx in cg.bottom_up() {
             let func = &module.functions()[idx];
             let mut policy = self.factory.instantiate(self.core.register_file())?;
@@ -503,20 +496,14 @@ impl Engine {
                         let result = task
                             .factory
                             .instantiate(task.core.register_file())
-                            .and_then(|mut policy| match task.summaries {
-                                Some(summaries) => task.core.analyze_with_summaries(
+                            .and_then(|mut policy| {
+                                task.core.analyze_with_summaries(
                                     task.func,
-                                    summaries,
+                                    task.summaries,
                                     policy.as_mut(),
                                     &mut scratch,
                                     Some(&self.cache),
-                                ),
-                                None => task.core.analyze_with(
-                                    task.func,
-                                    policy.as_mut(),
-                                    &mut scratch,
-                                    Some(&self.cache),
-                                ),
+                                )
                             });
                         *slots[i].lock().expect("result slot poisoned") = Some(result);
                     }
@@ -542,7 +529,7 @@ struct Task<'a> {
     core: &'a Arc<SessionCore>,
     factory: &'a PolicyFactory,
     func: &'a Function,
-    summaries: Option<&'a HashMap<String, Arc<ThermalSummary>>>,
+    summaries: Option<&'a Summaries>,
 }
 
 #[cfg(test)]

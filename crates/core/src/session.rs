@@ -65,10 +65,15 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use tadfa_ir::{CallGraph, Function, Module};
 use tadfa_regalloc::{
-    allocate_linear_scan, policy_by_name, AllocStats, Assignment, AssignmentPolicy, RegAllocConfig,
+    allocate_linear_scan, policy_by_name, AllocStats, AllocationResult, Assignment,
+    AssignmentPolicy, RegAllocConfig,
 };
 use tadfa_thermal::hashing::Fnv128;
 use tadfa_thermal::{Floorplan, PowerModel, RcParams, RegisterFile, ThermalState};
+
+/// Callee summaries by function name — what a module member's call
+/// sites resolve against.
+pub(crate) type Summaries = HashMap<String, Arc<ThermalSummary>>;
 
 /// How the builder was asked to pick the assignment policy.
 enum PolicySpec {
@@ -329,7 +334,7 @@ impl SessionCore {
         scratch: &mut DfaScratch,
         cache: Option<&SolveCache>,
     ) -> Result<ThermalReport, TadfaError> {
-        self.analyze_inner(func, policy, scratch, cache, false)
+        self.analyze_with_summaries(func, None, policy, scratch, cache)
     }
 
     /// [`analyze_with`](SessionCore::analyze_with) driven through the
@@ -348,70 +353,43 @@ impl SessionCore {
         func: &Function,
         policy: &mut dyn AssignmentPolicy,
     ) -> Result<ThermalReport, TadfaError> {
-        self.analyze_inner(func, policy, &mut DfaScratch::default(), None, true)
+        let (allocated, alloc, dfa) =
+            self.with_dfa(func, None, policy, |dfa| Arc::new(dfa.run_reference()))?;
+        self.finish_report(allocated, alloc, dfa)
     }
 
     /// [`analyze_with`](SessionCore::analyze_with) for a function whose
-    /// `call` sites resolve against already-computed callee
-    /// `summaries` — the engine's worker-side entry point for module
-    /// members. Callee-free functions behave exactly as
-    /// [`analyze_with`](SessionCore::analyze_with).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TadfaError::Alloc`] if register allocation fails and
-    /// [`TadfaError::MissingSummary`] if a callee has no summary.
-    pub fn analyze_with_summaries(
+    /// `call` sites resolve against already-computed callee `summaries`
+    /// (`None`: calls are an error) — the engine's worker-side entry
+    /// point for batch items and module members alike.
+    pub(crate) fn analyze_with_summaries(
         &self,
         func: &Function,
-        summaries: &HashMap<String, Arc<ThermalSummary>>,
+        summaries: Option<&Summaries>,
         policy: &mut dyn AssignmentPolicy,
         scratch: &mut DfaScratch,
         cache: Option<&SolveCache>,
     ) -> Result<ThermalReport, TadfaError> {
-        let mut allocated = func.clone();
-        let alloc = allocate_linear_scan(&mut allocated, &self.rf, policy, &self.alloc)?;
-        let dfa = ThermalDfa::with_summaries(
-            &allocated,
-            &alloc.assignment,
-            &self.grid,
-            self.power,
-            self.dfa,
-            summaries,
-        )?;
-        let dfa = dfa.run_with(scratch, cache);
+        let (allocated, alloc, dfa) =
+            self.with_dfa(func, summaries, policy, |dfa| dfa.run_with(scratch, cache))?;
         self.finish_report(allocated, alloc, dfa)
     }
 
     /// Allocates `func` and flattens its [`ThermalSummary`], resolving
-    /// call sites against already-computed callee `summaries`. With a
-    /// `cache` the summary is memoised under the function's
-    /// [`signature`](ThermalDfa::signature): the flatten runs at most
-    /// once per distinct function body per cache lifetime, no matter
-    /// how many modules or callers share it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TadfaError::Alloc`] if register allocation fails and
-    /// [`TadfaError::MissingSummary`] if a callee has no summary.
-    pub fn summarize_with(
+    /// call sites against already-computed callee `summaries` and
+    /// memoising the summary in `cache` (see
+    /// [`memo_summary`](Self::memo_summary)).
+    pub(crate) fn summarize_with(
         &self,
         func: &Function,
-        summaries: &HashMap<String, Arc<ThermalSummary>>,
+        summaries: &Summaries,
         policy: &mut dyn AssignmentPolicy,
         cache: Option<&SolveCache>,
     ) -> Result<Arc<ThermalSummary>, TadfaError> {
-        let mut allocated = func.clone();
-        let alloc = allocate_linear_scan(&mut allocated, &self.rf, policy, &self.alloc)?;
-        let dfa = ThermalDfa::with_summaries(
-            &allocated,
-            &alloc.assignment,
-            &self.grid,
-            self.power,
-            self.dfa,
-            summaries,
-        )?;
-        Ok(self.memo_summary(&dfa, cache))
+        let (_, _, summary) = self.with_dfa(func, Some(summaries), policy, |dfa| {
+            self.memo_summary(dfa, cache)
+        })?;
+        Ok(summary)
     }
 
     /// Runs the whole interprocedural pipeline for a module: verify
@@ -440,14 +418,18 @@ impl SessionCore {
     ) -> Result<ModuleReport, TadfaError> {
         tadfa_ir::verify_module(module)?;
         let cg = CallGraph::build(module);
-        let mut summaries: HashMap<String, Arc<ThermalSummary>> = HashMap::new();
+        let mut summaries = Summaries::new();
         let mut reports: Vec<Option<ThermalReport>> = (0..module.len()).map(|_| None).collect();
         for idx in cg.bottom_up() {
             let func = &module.functions()[idx];
-            let (report, summary) =
-                self.analyze_module_function(func, &summaries, policy, scratch, cache)?;
+            // One allocation yields both the member's summary and its
+            // report.
+            let (allocated, alloc, (summary, dfa)) =
+                self.with_dfa(func, Some(&summaries), policy, |dfa| {
+                    (self.memo_summary(dfa, cache), dfa.run_with(scratch, cache))
+                })?;
+            reports[idx] = Some(self.finish_report(allocated, alloc, dfa)?);
             summaries.insert(func.name().to_string(), summary);
-            reports[idx] = Some(report);
         }
         Ok(ModuleReport {
             names: module.names().map(String::from).collect(),
@@ -458,19 +440,26 @@ impl SessionCore {
         })
     }
 
-    /// One module member's report *and* summary from a single
-    /// allocation — the sequential module walk's inner step.
-    fn analyze_module_function(
+    /// The allocate-and-build step every analysis path shares: clones
+    /// `func`, allocates the clone under `policy`, builds its
+    /// [`ThermalDfa`] (call sites resolved against `summaries`; `None`
+    /// rejects calls), and runs `then` on it. Returns the allocated
+    /// function and allocation alongside `then`'s output.
+    ///
+    /// # Errors
+    ///
+    /// [`TadfaError::Alloc`] if register allocation fails, and the
+    /// [`ThermalDfa`] constructor errors for unresolvable calls.
+    fn with_dfa<T>(
         &self,
         func: &Function,
-        summaries: &HashMap<String, Arc<ThermalSummary>>,
+        summaries: Option<&Summaries>,
         policy: &mut dyn AssignmentPolicy,
-        scratch: &mut DfaScratch,
-        cache: Option<&SolveCache>,
-    ) -> Result<(ThermalReport, Arc<ThermalSummary>), TadfaError> {
+        then: impl FnOnce(&ThermalDfa<'_>) -> T,
+    ) -> Result<(Function, AllocationResult, T), TadfaError> {
         let mut allocated = func.clone();
         let alloc = allocate_linear_scan(&mut allocated, &self.rf, policy, &self.alloc)?;
-        let dfa = ThermalDfa::with_summaries(
+        let dfa = ThermalDfa::build(
             &allocated,
             &alloc.assignment,
             &self.grid,
@@ -478,57 +467,30 @@ impl SessionCore {
             self.dfa,
             summaries,
         )?;
-        let summary = self.memo_summary(&dfa, cache);
-        let result = dfa.run_with(scratch, cache);
-        let report = self.finish_report(allocated, alloc, result)?;
-        Ok((report, summary))
+        let out = then(&dfa);
+        Ok((allocated, alloc, out))
     }
 
     /// The summary for `dfa`'s function, answered from the cache's
     /// summary memo when an identical body (same signature) was
-    /// flattened before.
+    /// flattened before: the flatten runs at most once per distinct
+    /// function body per cache lifetime, no matter how many modules or
+    /// callers share it.
     fn memo_summary(
         &self,
         dfa: &ThermalDfa<'_>,
         cache: Option<&SolveCache>,
     ) -> Arc<ThermalSummary> {
-        match cache {
-            Some(cache) => {
-                let key = dfa.signature(cache.quantum());
-                if let Some(hit) = cache.fetch_summary(key) {
-                    return hit;
-                }
-                let sum = Arc::new(dfa.summarize(cache.quantum()));
-                cache.store_summary(key, &sum);
-                sum
-            }
-            None => Arc::new(dfa.summarize(0.0)),
-        }
-    }
-
-    fn analyze_inner(
-        &self,
-        func: &Function,
-        policy: &mut dyn AssignmentPolicy,
-        scratch: &mut DfaScratch,
-        cache: Option<&SolveCache>,
-        reference_solver: bool,
-    ) -> Result<ThermalReport, TadfaError> {
-        let mut allocated = func.clone();
-        let alloc = allocate_linear_scan(&mut allocated, &self.rf, policy, &self.alloc)?;
-        let dfa = ThermalDfa::new(
-            &allocated,
-            &alloc.assignment,
-            &self.grid,
-            self.power,
-            self.dfa,
-        )?;
-        let dfa = if reference_solver {
-            Arc::new(dfa.run_reference())
-        } else {
-            dfa.run_with(scratch, cache)
+        let Some(cache) = cache else {
+            return Arc::new(dfa.summarize());
         };
-        self.finish_report(allocated, alloc, dfa)
+        let key = dfa.signature();
+        if let Some(hit) = cache.fetch_summary(key) {
+            return hit;
+        }
+        let sum = Arc::new(dfa.summarize());
+        cache.store_summary(key, &sum);
+        sum
     }
 
     /// The pipeline tail shared by every analysis entry point:
@@ -536,7 +498,7 @@ impl SessionCore {
     fn finish_report(
         &self,
         allocated: Function,
-        alloc: tadfa_regalloc::AllocationResult,
+        alloc: AllocationResult,
         dfa: Arc<ThermalDfaResult>,
     ) -> Result<ThermalReport, TadfaError> {
         let critical = CriticalSet::identify(
@@ -937,15 +899,15 @@ impl ThermalReport {
             } => {
                 h.write_u64(0);
                 h.write_u64(iterations as u64);
-                h.write_f64(residual, 0.0);
+                h.write_f64(residual);
             }
         }
-        h.write_f64s(&self.dfa.residual_history, 0.0);
-        h.write_f64s(self.predicted.temps(), 0.0);
+        h.write_f64s(&self.dfa.residual_history);
+        h.write_f64s(self.predicted.temps());
         h.write_u64(self.critical.ranked().len() as u64);
         for &(v, t) in self.critical.ranked() {
             h.write_u64(v.index() as u64);
-            h.write_f64(t, 0.0);
+            h.write_f64(t);
         }
         h.finish()
     }

@@ -83,7 +83,7 @@ impl ThermalSummary {
     }
 
     /// The content signature the summary was computed under — the same
-    /// quantized power-profile hash that keys whole fixpoint solves
+    /// exact-bit power-profile hash that keys whole fixpoint solves
     /// ([`ThermalDfa::signature`](crate::ThermalDfa::signature)), so
     /// two functions with identical bodies share one cached summary.
     pub fn signature(&self) -> u128 {

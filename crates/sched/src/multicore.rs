@@ -114,7 +114,8 @@ impl MultiCoreFloorplan {
     /// # Errors
     ///
     /// Returns [`ThermalError::EmptyFloorplan`] for a zero per-core
-    /// dimension and [`ThermalError::InvalidParam`] for zero cores,
+    /// dimension and [`ThermalError::InvalidParam`] for zero cores, a
+    /// die of more than [`MAX_CELLS`](tadfa_thermal::MAX_CELLS) cells,
     /// invalid RC parameters, or a non-positive/non-finite coupling
     /// resistance.
     pub fn new(
@@ -134,6 +135,7 @@ impl MultiCoreFloorplan {
         if rows == 0 || cols == 0 {
             return Err(ThermalError::EmptyFloorplan { rows, cols });
         }
+        tadfa_thermal::checked_cell_count(&[cores, rows, cols])?;
         rc.checked()?;
         if let Some(r) = coupling_resistance {
             if r <= 0.0 || !r.is_finite() {

@@ -198,15 +198,15 @@ impl ScenarioResult {
             h.write_u64(t.core as u64);
             h.write_u64((t.fingerprint >> 64) as u64);
             h.write_u64(t.fingerprint as u64);
-            h.write_f64(t.start, 0.0);
-            h.write_f64(t.energy, 0.0);
+            h.write_f64(t.start);
+            h.write_f64(t.energy);
         }
-        h.write_f64(self.die.transient_peak, 0.0);
-        h.write_f64(self.die.transient_peak_time, 0.0);
-        h.write_f64(self.die.steady_peak, 0.0);
+        h.write_f64(self.die.transient_peak);
+        h.write_f64(self.die.transient_peak_time);
+        h.write_f64(self.die.steady_peak);
         h.write_u64(self.die.steady_converged as u64);
         h.write_u64(self.die.steady_sweeps as u64);
-        h.write_f64(self.die.makespan, 0.0);
+        h.write_f64(self.die.makespan);
         // Closed-loop blocks fold in only when configured, so the
         // fingerprints of historical (DTM-free) scenarios are unchanged.
         if let Some(d) = &self.dtm {
@@ -221,9 +221,9 @@ impl ScenarioResult {
         if let Some(c) = &self.covert {
             h.write_u64(c.bits as u64);
             h.write_u64(c.errors as u64);
-            h.write_f64(c.bandwidth_bps, 0.0);
-            h.write_f64(c.threshold_k, 0.0);
-            h.write_f64(c.swing_k, 0.0);
+            h.write_f64(c.bandwidth_bps);
+            h.write_f64(c.threshold_k);
+            h.write_f64(c.swing_k);
             for b in c.decoded.bytes() {
                 h.write_u64(b as u64);
             }
@@ -251,7 +251,7 @@ pub use tadfa_core::engine::BatchOptions as RunOverrides;
 /// This is the unit a persistent service holds per scenario: repeated
 /// [`run_with`](PreparedScenario::run_with) calls share the solve
 /// cache, so repetitions of the same task profiles are answered from
-/// memory — and because the cache keys on exact bits (quantum 0), a
+/// memory — and because the cache keys on exact bit patterns, a
 /// cache-warm run is **byte-identical** to a cold one, which is the
 /// service's golden-equality contract. Every field is immutable shared
 /// state (`Send + Sync`), so one `&PreparedScenario` can serve

@@ -1051,6 +1051,17 @@ mod tests {
         assert!(e.message.contains("nested array"), "{}", e.message);
         let deep = format!("x = {}{}\n", "[".repeat(100_000), "]".repeat(100_000));
         assert!(parse_toml(&deep).is_err(), "no recursion per bracket");
+        // Dies too large to allocate are spec errors, not aborts.
+        for die in [
+            "cores = 1\nrows = 100000\ncols = 100000",
+            "cores = 100000000\nrows = 4\ncols = 4",
+        ] {
+            let spec = format!("[floorplan]\n{die}\n[tasks]\nsource = \"suite\"\n");
+            match parse_spec_toml(&spec, "huge") {
+                Err(e) => assert!(e.message.contains("cells"), "{}", e.message),
+                Ok(_) => panic!("{die}: a die this large must be a spec error"),
+            }
+        }
     }
 
     #[test]

@@ -79,7 +79,7 @@
 //! per-request worker count was asked for — or whether the cache
 //! entry was computed in this process or recovered from disk (the
 //! spill codec round-trips exact bits). The solve cache keys on exact
-//! bits (quantum 0) and scenario runs share no mutable state, so the
+//! bit patterns and scenario runs share no mutable state, so the
 //! service cannot drift from the batch CLI — `tadfa-load` replays the
 //! committed specs against a live server and CI fails if even one
 //! byte of fingerprint moves.

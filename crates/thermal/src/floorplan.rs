@@ -4,6 +4,31 @@
 use crate::constants;
 use crate::error::ThermalError;
 
+/// The most cells a floorplan or a multi-core die may have: 2¹⁶, 64×
+/// the largest grid the tests build (32×32) and 256× the largest
+/// committed scenario die. Every solver and register file allocates
+/// per cell, so a spec naming a larger die is rejected up front with
+/// a typed error instead of aborting on a failed allocation.
+pub const MAX_CELLS: usize = 1 << 16;
+
+/// The product of `dims` (rows, columns, and for a die the core
+/// count), checked against [`MAX_CELLS`] without overflowing.
+///
+/// # Errors
+///
+/// Returns [`ThermalError::InvalidParam`] if the product exceeds
+/// [`MAX_CELLS`] or overflows `usize`.
+pub fn checked_cell_count(dims: &[usize]) -> Result<usize, ThermalError> {
+    dims.iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .filter(|&cells| cells <= MAX_CELLS)
+        .ok_or_else(|| ThermalError::InvalidParam {
+            param: "cells",
+            value: dims.iter().map(|&d| d as f64).product(),
+            reason: "exceeds the cell cap MAX_CELLS = 65536",
+        })
+}
+
 /// A rectangular grid of register cells.
 ///
 /// Cell indices are row-major: cell `(r, c)` has index `r * cols + c`.
@@ -32,7 +57,8 @@ impl Floorplan {
     /// # Errors
     ///
     /// Returns [`ThermalError::EmptyFloorplan`] if either dimension is
-    /// zero.
+    /// zero and [`ThermalError::InvalidParam`] for more than
+    /// [`MAX_CELLS`] cells.
     pub fn try_grid(rows: usize, cols: usize) -> Result<Floorplan, ThermalError> {
         Floorplan::try_with_cell_size(
             rows,
@@ -47,8 +73,8 @@ impl Floorplan {
     /// # Errors
     ///
     /// Returns [`ThermalError::EmptyFloorplan`] for a zero dimension and
-    /// [`ThermalError::InvalidParam`] for a non-positive or non-finite
-    /// cell size.
+    /// [`ThermalError::InvalidParam`] for more than [`MAX_CELLS`] cells
+    /// or a non-positive or non-finite cell size.
     pub fn try_with_cell_size(
         rows: usize,
         cols: usize,
@@ -58,6 +84,7 @@ impl Floorplan {
         if rows == 0 || cols == 0 {
             return Err(ThermalError::EmptyFloorplan { rows, cols });
         }
+        checked_cell_count(&[rows, cols])?;
         for (param, value) in [("cell_width", cell_width), ("cell_height", cell_height)] {
             if value <= 0.0 || !value.is_finite() {
                 return Err(ThermalError::InvalidParam {
@@ -80,7 +107,8 @@ impl Floorplan {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero or the grid exceeds
+    /// [`MAX_CELLS`].
     pub fn grid(rows: usize, cols: usize) -> Floorplan {
         match Floorplan::try_grid(rows, cols) {
             Ok(fp) => fp,
@@ -388,6 +416,25 @@ mod tests {
         ));
         let fp = Floorplan::try_grid(3, 5).unwrap();
         assert_eq!(fp.num_cells(), 15);
+    }
+
+    #[test]
+    fn cell_count_is_capped_without_overflow() {
+        for (rows, cols) in [(usize::MAX, 2), (100_000, 100_000), (MAX_CELLS + 1, 1)] {
+            assert!(
+                matches!(
+                    Floorplan::try_grid(rows, cols),
+                    Err(ThermalError::InvalidParam { param: "cells", .. })
+                ),
+                "{rows}x{cols}"
+            );
+        }
+        assert_eq!(
+            Floorplan::try_grid(256, 256).unwrap().num_cells(),
+            MAX_CELLS
+        );
+        assert!(checked_cell_count(&[100_000_000, 4, 4]).is_err());
+        assert_eq!(checked_cell_count(&[4, 8, 8]), Ok(256));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   leakage (the "technology coefficients" of §4);
 //! * [`ThermalState`] / [`MapStats`] — the dataflow fact and the summary
 //!   metrics (peak, gradient, σ) every experiment reports;
-//! * [`hashing`] — quantized 128-bit hashing of thermal maps and power
+//! * [`hashing`] — exact-bit 128-bit hashing of thermal maps and power
 //!   vectors, the key function of the batch engine's solve cache;
 //! * [`render_ascii`] & friends — Fig. 1-style heat-map rendering.
 //!
@@ -58,7 +58,7 @@ pub mod solver;
 mod state;
 
 pub use error::ThermalError;
-pub use floorplan::{Floorplan, RegisterFile};
+pub use floorplan::{checked_cell_count, Floorplan, RegisterFile, MAX_CELLS};
 pub use map::{render_ascii, render_ascii_auto, render_numeric, to_csv};
 pub use power::{accumulate_scaled, PowerModel};
 pub use rc::{RcParams, ThermalModel};
